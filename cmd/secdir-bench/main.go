@@ -69,10 +69,6 @@ func run(dir, baseline, out string, tolerance float64, replay string, noWrite bo
 		for _, w := range cur.Workloads {
 			fmt.Printf("  %-24s %8.1f ns/access %8.2f Maccess/s\n", w.Name, w.NsPerAccess, w.MAccessesPerSec)
 		}
-		for _, s := range cur.Sharded {
-			fmt.Printf("  %-24s serial %8.1f ns/access  sharded(%d,w%d) %8.1f ns/access  %5.2fx  occupancy %.2f\n",
-				s.Name, s.SerialNs, s.Shards, s.Window, s.ShardedNs, s.Speedup, s.WindowOccupancy)
-		}
 		if !noWrite {
 			path := out
 			if path == "" {

@@ -41,8 +41,6 @@ func main() {
 	cores := flag.Int("cores", 8, "simulated cores (power of two)")
 	evLines := flag.Int("evlines", 0, "eviction-set size override (0 = strategy default)")
 	workers := flag.Int("workers", 0, "trial-runner goroutines (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "build each trial's engine with its directory slices sharded over N goroutines (0 = serial; verdicts are bit-identical)")
-	window := flag.Int("window", 0, "schedule each trial engine's batched accesses through conflict windows of up to N accesses (needs -shards > 1; verdicts are bit-identical)")
 	seed := flag.Int64("seed", 1, "master seed pinning trials, schedules and bootstraps")
 	confidence := flag.Float64("confidence", 0.99, "bootstrap confidence level for the AUC interval")
 	resamples := flag.Int("resamples", 400, "bootstrap replicates per interval")
@@ -114,8 +112,6 @@ func main() {
 			EvictionLines: *evLines,
 			Workers:       *workers,
 			Seed:          *seed,
-			EngineShards:  *shards,
-			EngineWindow:  *window,
 			Metrics:       reg,
 		}
 		// Explicit -config/-strategy selections narrow the race; the flag
@@ -168,8 +164,6 @@ func main() {
 		Seed:          *seed,
 		Confidence:    *confidence,
 		Resamples:     *resamples,
-		EngineShards:  *shards,
-		EngineWindow:  *window,
 		Metrics:       reg,
 	}
 	if !*quiet {

@@ -32,8 +32,6 @@ func main() {
 	measure := flag.Uint64("measure", 150_000, "measured accesses per core")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	unfixed := flag.Bool("unfixed", false, "model the Skylake-X Appendix-A limitation (baseline default: on)")
-	shards := flag.Int("shards", 0, "run the engine with its directory slices sharded over N goroutines (0 = serial; results are bit-identical)")
-	window := flag.Int("window", 0, "schedule bursts through conflict windows of up to N accesses (needs -shards > 1; results are bit-identical)")
 	mflags := metrics.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -99,8 +97,6 @@ func main() {
 		Work:            w,
 		WarmupAccesses:  *warmup,
 		MeasureAccesses: *measure,
-		EngineShards:    *shards,
-		EngineWindow:    *window,
 		Metrics:         reg,
 		Observer: func(core int, cycle uint64, line addr.Line, write bool, ar coherence.AccessResult) {
 			hist[ar.Level].Add(uint64(ar.Latency))
@@ -111,7 +107,6 @@ func main() {
 		os.Exit(1)
 	}
 	res := r.Run()
-	r.Close()
 	if err := w.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -99,6 +99,32 @@ func TestCompareSelf(t *testing.T) {
 	}
 }
 
+// TestCheckedInBaselinesSelfCompare: every BENCH_*.json committed at the
+// repository root loads under the current schema — including reports that
+// carry sections the harness no longer writes — and compares clean against
+// itself, so any of them can serve as a CI baseline.
+func TestCheckedInBaselinesSelfCompare(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no checked-in BENCH_*.json found")
+	}
+	for _, p := range paths {
+		r, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Micro) == 0 || len(r.Workloads) == 0 {
+			t.Errorf("%s: %d micro and %d workload rows, want both non-empty", p, len(r.Micro), len(r.Workloads))
+		}
+		if reg := Regressions(Compare(r, r, 0.10)); len(reg) != 0 {
+			t.Errorf("%s: self-comparison regressed: %v", p, reg)
+		}
+	}
+}
+
 // TestCompareRegressions exercises the tolerance rules: time regressions past
 // the tolerance fire, within-tolerance drift does not, and any allocation on
 // a zero-alloc baseline fires regardless of tolerance.

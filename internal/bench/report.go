@@ -40,9 +40,6 @@ type Report struct {
 	Micro []MicroResult `json:"micro"`
 	// Workloads holds the bounded experiment workload timings.
 	Workloads []WorkloadResult `json:"workloads"`
-	// Sharded holds the sharded-vs-serial engine comparisons (absent in
-	// reports predating the window scheduler).
-	Sharded []ShardedResult `json:"sharded,omitempty"`
 }
 
 // Collect runs every microbenchmark via testing.Benchmark plus the bounded
@@ -70,11 +67,6 @@ func Collect() (*Report, error) {
 		return nil, err
 	}
 	r.Workloads = wl
-	sh, err := RunSharded()
-	if err != nil {
-		return nil, err
-	}
-	r.Sharded = sh
 	return r, nil
 }
 
@@ -177,29 +169,6 @@ func Compare(base, cur *Report, tol float64) []Delta {
 		out = append(out, delta(w.Name+"/ns-access", b.NsPerAccess, w.NsPerAccess, func(bv, cv float64) bool {
 			return cv > bv*(1+tol)
 		}))
-	}
-	baseSh := map[string]ShardedResult{}
-	for _, s := range base.Sharded {
-		baseSh[s.Name] = s
-	}
-	for _, s := range cur.Sharded {
-		b, ok := baseSh[s.Name]
-		if !ok {
-			continue
-		}
-		out = append(out,
-			delta(s.Name+"/serial-ns", b.SerialNs, s.SerialNs, func(bv, cv float64) bool {
-				return cv > bv*(1+tol)
-			}),
-			delta(s.Name+"/sharded-ns", b.ShardedNs, s.ShardedNs, func(bv, cv float64) bool {
-				return cv > bv*(1+tol)
-			}),
-			// Speedup is a higher-is-better ratio: regression means losing
-			// more than tol of the baseline's speedup.
-			delta(s.Name+"/speedup", b.Speedup, s.Speedup, func(bv, cv float64) bool {
-				return cv < bv*(1-tol)
-			}),
-		)
 	}
 	return out
 }

@@ -557,20 +557,6 @@ func (c *Cache[P]) LinesInSet(set int) []addr.Line {
 	return out
 }
 
-// RangeSet calls fn for every valid line of one set, in way order, until fn
-// returns false. Unlike LinesInSet it never allocates, so conflict-window
-// admission can scan a fill set's residents on the hot path.
-func (c *Cache[P]) RangeSet(set int, fn func(l addr.Line) bool) {
-	base := set * c.ways
-	for _, tag := range c.tags[base : base+c.ways] {
-		if tag != invalidTag {
-			if !fn(tag) {
-				return
-			}
-		}
-	}
-}
-
 // Range calls fn for every valid line until fn returns false.
 func (c *Cache[P]) Range(fn func(l addr.Line, data *P) bool) {
 	for i := range c.tags {

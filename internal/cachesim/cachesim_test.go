@@ -229,43 +229,3 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestRangeSetMatchesLinesInSet: the allocation-free set walk agrees with
-// LinesInSet and honours early termination.
-func TestRangeSetMatchesLinesInSet(t *testing.T) {
-	c := New[int](8, 4, ModIndex(8), LRU, 1)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 4000; i++ {
-		c.Put(addr.Line(rng.Intn(512)), i)
-	}
-	for set := 0; set < 8; set++ {
-		want := c.LinesInSet(set)
-		var got []addr.Line
-		c.RangeSet(set, func(l addr.Line) bool {
-			got = append(got, l)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("set %d: RangeSet saw %d lines, LinesInSet %d", set, len(got), len(want))
-		}
-		seen := map[addr.Line]bool{}
-		for _, l := range want {
-			seen[l] = true
-		}
-		for _, l := range got {
-			if !seen[l] {
-				t.Fatalf("set %d: RangeSet produced line %#x not in LinesInSet", set, uint64(l))
-			}
-		}
-		if len(want) > 1 {
-			n := 0
-			c.RangeSet(set, func(addr.Line) bool {
-				n++
-				return false
-			})
-			if n != 1 {
-				t.Fatalf("set %d: early-terminated RangeSet visited %d lines", set, n)
-			}
-		}
-	}
-}

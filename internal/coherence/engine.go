@@ -116,16 +116,6 @@ type Engine struct {
 	log   *eventLog
 	mx    *engineMetrics
 
-	// router, when non-nil, owns the directory slices and executes slice
-	// transactions on their home shard (see Sharded). The serial engine
-	// leaves it nil and pays one predictable nil-check per miss.
-	router sliceRouter
-
-	// winSched, when non-nil, is the conflict-window scheduler AccessBatch
-	// dispatches through (see Sharded.SetWindow). Nil on serial engines and
-	// on sharded engines without windowing.
-	winSched *windowScheduler
-
 	// flushScratch is FlushCore's reusable line buffer, sized to the largest
 	// L2 occupancy flushed so far.
 	flushScratch []addr.Line
@@ -257,9 +247,7 @@ func (e *Engine) installSlice(s int, sl directory.Slice) {
 // Baseline kinds — the ones every leakage sweep hammers — reset their slices
 // in place; the rival kinds rebuild their (much smaller) slice objects but
 // still keep the per-core cache arrays. Attached metrics and event logs stay
-// attached with their counters untouched; a Sharded engine may be reset
-// between transactions (the shard goroutines are idle then, and the channel
-// hand-offs of the previous transaction order their memory).
+// attached with their counters untouched.
 func (e *Engine) Reset(seed int64) error {
 	e.cfg = e.cfg.WithSeed(seed)
 	for c := 0; c < e.cfg.Cores; c++ {
@@ -290,31 +278,9 @@ func (e *Engine) Reset(seed int64) error {
 	return nil
 }
 
-// sliceRouter executes slice transactions on behalf of the engine. The
-// sharded engine implements it by forwarding each call to the goroutine that
-// owns the slice and draining that shard's coherence mailbox on return; the
-// returned actions are then applied by the caller at the transaction
-// boundary, exactly where the serial engine applies them.
-type sliceRouter interface {
-	routeMiss(s, c int, line addr.Line, write bool) directory.MissResult
-	routeUpgrade(s, c int, line addr.Line) []directory.Action
-	routeL2Evict(s, c int, line addr.Line, dirty bool) []directory.Action
-	routeHousekeep(s int) []directory.Action
-}
-
-// sliceMiss dispatches an L2 miss to its home slice — through the router
-// when the slices are sharded, else monomorphically for the SecDir and
-// Baseline kinds so the compiler sees a direct call.
+// sliceMiss dispatches an L2 miss to its home slice, monomorphically for
+// the SecDir and Baseline kinds so the compiler sees a direct call.
 func (e *Engine) sliceMiss(s, c int, line addr.Line, write bool) directory.MissResult {
-	if e.router != nil {
-		return e.router.routeMiss(s, c, line, write)
-	}
-	return e.sliceMissLocal(s, c, line, write)
-}
-
-// sliceMissLocal runs the miss on the calling goroutine. Only the slice
-// owner (the engine when serial, the home shard when sharded) may call it.
-func (e *Engine) sliceMissLocal(s, c int, line addr.Line, write bool) directory.MissResult {
 	if sd := e.secSlices[s]; sd != nil {
 		return sd.Miss(c, line, write)
 	}
@@ -326,15 +292,6 @@ func (e *Engine) sliceMissLocal(s, c int, line addr.Line, write bool) directory.
 
 // sliceUpgrade dispatches a directory upgrade, monomorphically where possible.
 func (e *Engine) sliceUpgrade(s, c int, line addr.Line) []directory.Action {
-	if e.router != nil {
-		return e.router.routeUpgrade(s, c, line)
-	}
-	return e.sliceUpgradeLocal(s, c, line)
-}
-
-// sliceUpgradeLocal runs the upgrade on the calling goroutine (slice owner
-// only).
-func (e *Engine) sliceUpgradeLocal(s, c int, line addr.Line) []directory.Action {
 	if sd := e.secSlices[s]; sd != nil {
 		return sd.Upgrade(c, line)
 	}
@@ -347,15 +304,6 @@ func (e *Engine) sliceUpgradeLocal(s, c int, line addr.Line) []directory.Action 
 // sliceL2Evict dispatches an L2 victim notification, monomorphically where
 // possible.
 func (e *Engine) sliceL2Evict(s, c int, line addr.Line, dirty bool) []directory.Action {
-	if e.router != nil {
-		return e.router.routeL2Evict(s, c, line, dirty)
-	}
-	return e.sliceL2EvictLocal(s, c, line, dirty)
-}
-
-// sliceL2EvictLocal runs the eviction on the calling goroutine (slice owner
-// only).
-func (e *Engine) sliceL2EvictLocal(s, c int, line addr.Line, dirty bool) []directory.Action {
 	if sd := e.secSlices[s]; sd != nil {
 		return sd.L2Evict(c, line, dirty)
 	}
@@ -562,39 +510,12 @@ func (e *Engine) Access(c int, line addr.Line, write bool) AccessResult {
 	return AccessResult{Level: level, Latency: lat}
 }
 
-// BatchOp is one access of an AccessBatch call.
-type BatchOp struct {
-	Line  addr.Line
-	Write bool
-}
-
-// AccessBatch performs ops in order on core c, writing one AccessResult per
-// op into res (which must be at least len(ops) long). It is exactly
-// equivalent to calling Access once per op — same state transitions, same
-// counters, same latencies — and exists so a driver that already knows a run
-// of accesses belongs to one core (a trace replay, a single-core burst) can
-// hoist its per-access bookkeeping to batch granularity.
-func (e *Engine) AccessBatch(c int, ops []BatchOp, res []AccessResult) {
-	_ = res[:len(ops)]
-	if ws := e.winSched; ws != nil {
-		ws.accessBatch(c, ops, res)
-		return
-	}
-	for i, op := range ops {
-		res[i] = e.Access(c, op.Line, op.Write)
-	}
-}
-
 // housekeep runs deferred slice maintenance (e.g. randomized re-keying) at a
 // transaction boundary, where every cached line has a settled directory
 // entry. The Housekeeper assertion is resolved once at construction, so the
 // common kinds pay one nil check here.
 func (e *Engine) housekeep(c, slice int) {
 	if hk := e.housekeepers[slice]; hk != nil {
-		if e.router != nil {
-			e.apply(c, e.router.routeHousekeep(slice))
-			return
-		}
 		e.apply(c, hk.Housekeep())
 	}
 }

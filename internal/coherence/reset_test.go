@@ -1,11 +1,130 @@
 package coherence
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
+	"secdir/internal/addr"
+	"secdir/internal/cachesim"
 	"secdir/internal/config"
 )
+
+// allDesigns are the nine directory designs Reset must restore
+// bit-identically: every kind the engine supports, plus the unfixed
+// Skylake-X baseline whose inclusion-victim behaviour differs.
+func allDesigns() []struct {
+	name string
+	cfg  config.Config
+} {
+	unfixed := smallConfig(config.Baseline)
+	unfixed.AppendixAFix = false
+	fixed := smallConfig(config.Baseline)
+	fixed.AppendixAFix = true
+	return []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"skylake-unfixed", unfixed},
+		{"skylake-fixed", fixed},
+		{"secdir", smallConfig(config.SecDir)},
+		{"way-partitioned", smallConfig(config.WayPartitioned)},
+		{"rand-mapped", smallConfig(config.RandMapped)},
+		{"skewed", smallConfig(config.SkewedDir)},
+		{"dls", smallConfig(config.DLS)},
+		{"tag-partitioned", smallConfig(config.TagPartitioned)},
+		{"ceaser", smallConfig(config.Ceaser)},
+	}
+}
+
+// burstOp is one access of a burst.
+type burstOp struct {
+	line  addr.Line
+	write bool
+}
+
+// burst is a run of same-core accesses.
+type burst struct {
+	core int
+	ops  []burstOp
+}
+
+// seededBursts generates the seeded bursty stream every replay consumes:
+// pick a core, run 1..16 accesses on it, repeat.
+func seededBursts(cores int) []burst {
+	rng := rand.New(rand.NewSource(7071))
+	var bursts []burst
+	total := 0
+	for total < 30000 {
+		n := 1 + rng.Intn(16)
+		b := burst{core: rng.Intn(cores), ops: make([]burstOp, n)}
+		for i := range b.ops {
+			b.ops[i] = burstOp{line: addr.Line(rng.Intn(1 << 12)), write: rng.Intn(4) == 0}
+		}
+		bursts = append(bursts, b)
+		total += n
+	}
+	return bursts
+}
+
+// snapshotStats deep-copies the engine's counters so later sweeps don't
+// mutate the captured value through the shared slice.
+func snapshotStats(e *Engine) Stats {
+	st := e.stats
+	st.Core = append([]CoreStats(nil), e.stats.Core...)
+	return st
+}
+
+// replayBursts drives the stream through an engine, flushing a rotating
+// core every 64 bursts so the eviction-notification path runs too, and
+// returns every AccessResult.
+func replayBursts(e *Engine, bursts []burst) []AccessResult {
+	var out []AccessResult
+	for bi, b := range bursts {
+		for _, op := range b.ops {
+			out = append(out, e.Access(b.core, op.line, op.write))
+		}
+		if bi%64 == 63 {
+			e.FlushCore(bi / 64 % e.cfg.Cores)
+		}
+	}
+	return out
+}
+
+// touchedLines returns the distinct lines a burst stream accessed, in line
+// order.
+func touchedLines(bursts []burst) []addr.Line {
+	touched := map[addr.Line]bool{}
+	for _, b := range bursts {
+		for _, op := range b.ops {
+			touched[op.line] = true
+		}
+	}
+	out := make([]addr.Line, 0, len(touched))
+	for l := addr.Line(0); l < 1<<12; l++ {
+		if touched[l] {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// memoryImage reads every line from core 0 and returns line -> result, the
+// design's observable end state. (Both engines replayed identical streams,
+// so equal sweeps plus equal stats pin bit-identical behaviour; data
+// versioning itself is covered by TestDifferentialMemoryImage.)
+func memoryImage(t *testing.T, e *Engine, lines []addr.Line) map[addr.Line]AccessResult {
+	t.Helper()
+	img := make(map[addr.Line]AccessResult, len(lines))
+	for _, l := range lines {
+		img[l] = e.Access(0, l, false)
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("invariants violated after image sweep: %v", err)
+	}
+	return img
+}
 
 // TestResetBitIdentical pins Engine.Reset to the NewEngine oracle for every
 // directory design: an engine that ran a full workload, was Reset with a new
@@ -14,9 +133,9 @@ import (
 // invariants and the memory image. The leakage lab's per-worker engine pool
 // rests on this exactness (worker-count invariance would otherwise break).
 func TestResetBitIdentical(t *testing.T) {
-	for _, d := range shardedDesigns() {
+	for _, d := range allDesigns() {
 		t.Run(d.name, func(t *testing.T) {
-			bursts := shardedBursts(d.cfg.Cores)
+			bursts := seededBursts(d.cfg.Cores)
 			freshCfg := d.cfg.WithSeed(d.cfg.Seed + 555)
 			fresh := newEngine(t, freshCfg)
 			want := replayBursts(fresh, bursts)
@@ -52,34 +171,35 @@ func TestResetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResetSharded: Reset composes with the sharded (and windowed) engine —
-// resetting between replays reproduces the fresh serial verdict while the
-// shard goroutines stay up.
-func TestResetSharded(t *testing.T) {
+// TestSlicePartitionProperty pins the address partition the engine routes
+// by: every line maps to exactly one home slice, the mapping is a pure
+// function of the line (stable across mapper instances), and the directory
+// set index the engine hands the slices — the cachesim shift-and-mask fast
+// path — agrees with the mapper's Set for every line.
+func TestSlicePartitionProperty(t *testing.T) {
 	cfg := smallConfig(config.SecDir)
-	bursts := shardedBursts(cfg.Cores)
-	freshCfg := cfg.WithSeed(cfg.Seed + 555)
-	fresh := newEngine(t, freshCfg)
-	want := replayBursts(fresh, bursts)
-	wantStats := snapshotStats(fresh)
+	m := addr.NewMapper(cfg.Cores, cfg.TDSets)
+	m2 := addr.NewMapper(cfg.Cores, cfg.TDSets)
+	index := cachesim.ShiftIndex(addr.SetShift, cfg.TDSets)
 
-	sh, err := NewSharded(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	sh.SetWindow(8)
-	replayBursts(sh.Engine, bursts)
-	if err := sh.Reset(freshCfg.Seed); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	got := replayBursts(sh.Engine, bursts)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d: reset sharded %+v, fresh serial %+v", i, got[i], want[i])
+	prop := func(raw uint64) bool {
+		l := addr.Line(raw & (1<<34 - 1))
+		s := m.Slice(l)
+		if s < 0 || s >= cfg.Cores {
+			t.Errorf("line %#x: slice %d out of range", uint64(l), s)
+			return false
 		}
+		if m2.Slice(l) != s || m2.Set(l) != m.Set(l) {
+			t.Errorf("line %#x: mapping not stable across mapper instances", uint64(l))
+			return false
+		}
+		if index.Of(l) != m.Set(l) {
+			t.Errorf("line %#x: ShiftIndex set %d != mapper set %d", uint64(l), index.Of(l), m.Set(l))
+			return false
+		}
+		return true
 	}
-	if gotStats := snapshotStats(sh.Engine); !reflect.DeepEqual(gotStats, wantStats) {
-		t.Fatalf("stats diverged:\nfresh %+v\nreset %+v", wantStats, gotStats)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
 	}
 }

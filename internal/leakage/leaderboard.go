@@ -64,12 +64,6 @@ type LeaderboardOptions struct {
 	EvictionLines int
 	Workers       int
 	Seed          int64
-	// EngineShards is forwarded to every cell's Options: > 1 runs each
-	// trial on a slice-sharded coherence engine (bit-identical verdicts).
-	EngineShards int
-	// EngineWindow is forwarded to every cell's Options: > 1 (with
-	// EngineShards > 1) windows each trial's batched accesses.
-	EngineWindow int
 	// PerfAccesses is the measured-loop length of the simulated-latency
 	// probe (default 100k, after an equal warm-up).
 	PerfAccesses int
@@ -107,8 +101,6 @@ func RunLeaderboard(ctx context.Context, o LeaderboardOptions) (*Leaderboard, er
 		EvictionLines: o.EvictionLines,
 		Workers:       o.Workers,
 		Seed:          o.Seed,
-		EngineShards:  o.EngineShards,
-		EngineWindow:  o.EngineWindow,
 		Metrics:       o.Metrics,
 	}.withDefaults()
 

@@ -58,17 +58,6 @@ type Options struct {
 	Confidence float64
 	// Resamples is the bootstrap replicate count (default 400).
 	Resamples int
-	// EngineShards, when > 1, builds each trial's coherence engine with its
-	// directory slices sharded over that many goroutines (coherence.Sharded).
-	// The sharded engine is bit-identical to the serial one by construction,
-	// so verdicts must not change — the golden tests re-verify exactly that.
-	// 0 or 1 selects the serial engine.
-	EngineShards int
-	// EngineWindow, when > 1 and EngineShards > 1, enables the conflict-window
-	// scheduler on each trial's sharded engine (coherence.Sharded.SetWindow).
-	// Windowed execution is bit-identical to serial by construction, so
-	// verdicts must not change either — the windowed golden tests pin that.
-	EngineWindow int
 	// Metrics receives leakage counters/histograms; nil is a no-op registry.
 	Metrics *metrics.Registry
 	// Progress, when non-nil, is called with completed-trial counts at a
@@ -253,15 +242,13 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 }
 
 // trialEngine is one worker's reusable machine. The worker's first trial
-// constructs the engine (serial, sharded, or sharded+windowed per Options);
-// every later trial resets it in place with the new trial seed. Engine.Reset
-// is pinned bit-identical to fresh construction by the coherence oracle
-// tests, so pooling cannot perturb verdicts or break the worker-count
-// invariance the fleet's lossless merges rely on — it only removes the
-// per-trial allocation of caches, directories and shard goroutines.
+// constructs the engine; every later trial resets it in place with the new
+// trial seed. Engine.Reset is pinned bit-identical to fresh construction by
+// the coherence oracle tests, so pooling cannot perturb verdicts or break the
+// worker-count invariance the fleet's lossless merges rely on — it only
+// removes the per-trial allocation of caches and directories.
 type trialEngine struct {
 	eng *coherence.Engine
-	sh  *coherence.Sharded
 }
 
 // engine returns the pooled machine reset for the trial seed, building it on
@@ -273,19 +260,7 @@ func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) 
 		}
 		return te.eng, nil
 	}
-	cfg := o.Config.WithSeed(seed)
-	if o.EngineShards > 1 {
-		sh, err := coherence.NewSharded(cfg, o.EngineShards)
-		if err != nil {
-			return nil, err
-		}
-		if o.EngineWindow > 1 {
-			sh.SetWindow(o.EngineWindow)
-		}
-		te.sh, te.eng = sh, sh.Engine
-		return te.eng, nil
-	}
-	e, err := coherence.NewEngine(cfg)
+	e, err := coherence.NewEngine(o.Config.WithSeed(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -293,14 +268,8 @@ func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) 
 	return e, nil
 }
 
-// close releases the pooled engine's shard goroutines (no-op when serial or
-// never used).
-func (te *trialEngine) close() {
-	if te.sh != nil {
-		te.sh.Close()
-	}
-	te.eng, te.sh = nil, nil
-}
+// close drops the pooled engine.
+func (te *trialEngine) close() { te.eng = nil }
 
 // mean returns the arithmetic mean of x (0 for an empty slice).
 func mean(x []float64) float64 {

@@ -231,3 +231,43 @@ func TestParsing(t *testing.T) {
 		t.Errorf("ParseStrategyList dedup = %v, %v", StrategyNames(dup), err)
 	}
 }
+
+// TestEnginePoolWorkerInvariance pins the per-worker engine pool against the
+// fleet's core determinism contract: the same measurement run with 1, 2 and 5
+// workers — each worker resetting one pooled engine across the trials it
+// happens to claim — must produce identical verdicts.
+func TestEnginePoolWorkerInvariance(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		cfg, err := ParseConfig("secdir", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		strat, err := ParseStrategy("primeprobe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Options{
+			Config:     cfg,
+			ConfigName: "secdir",
+			Strategy:   strat,
+			Trials:     24,
+			Rounds:     4,
+			Seed:       99,
+			Resamples:  50,
+		}
+		var want Verdict
+		for i, workers := range []int{1, 2, 5} {
+			o := base
+			o.Workers = workers
+			v, err := Run(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want = v
+			} else if v != want {
+				t.Fatalf("workers=%d verdict diverged:\nwant %+v\ngot  %+v", workers, want, v)
+			}
+		}
+	})
+}

@@ -26,13 +26,6 @@ type ReportOptions struct {
 	Seed          int64
 	Confidence    float64
 	Resamples     int
-	// EngineShards is forwarded to every cell's Options: > 1 runs each
-	// trial on a slice-sharded coherence engine (bit-identical verdicts).
-	EngineShards int
-	// EngineWindow is forwarded to every cell's Options: > 1 (with
-	// EngineShards > 1) windows each trial's batched accesses
-	// (bit-identical verdicts, pinned by the windowed golden test).
-	EngineWindow int
 	// Metrics receives the leakage counters/histograms; nil is a no-op.
 	Metrics *metrics.Registry
 	// Progress, when non-nil, receives per-cell trial progress with a stage
@@ -76,8 +69,6 @@ func RunReport(ctx context.Context, o ReportOptions) (*Report, error) {
 		Seed:          o.Seed,
 		Confidence:    o.Confidence,
 		Resamples:     o.Resamples,
-		EngineShards:  o.EngineShards,
-		EngineWindow:  o.EngineWindow,
 		Metrics:       o.Metrics,
 	}.withDefaults()
 

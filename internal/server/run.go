@@ -250,8 +250,6 @@ func runLeak(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress 
 		Seed:          spec.Seed,
 		Confidence:    spec.Confidence,
 		Resamples:     spec.Resamples,
-		EngineShards:  spec.EngineShards,
-		EngineWindow:  spec.EngineWindow,
 		Metrics:       reg,
 	}
 	o.Progress = gridProgress(spec.Configs, leakage.StrategyNames(strategies), spec.Trials, progress)
@@ -275,8 +273,6 @@ func runLeaderboard(ctx context.Context, spec JobSpec, reg *metrics.Registry, pr
 		Workers:       spec.Workers,
 		Seed:          spec.Seed,
 		PerfAccesses:  spec.PerfAccesses,
-		EngineShards:  spec.EngineShards,
-		EngineWindow:  spec.EngineWindow,
 		Metrics:       reg,
 	}
 	o.Progress = gridProgress(spec.Configs, leakage.StrategyNames(strategies), spec.Trials, progress)
@@ -402,14 +398,11 @@ func runReplay(ctx context.Context, spec JobSpec, reg *metrics.Registry, progres
 		Work:            w,
 		WarmupAccesses:  spec.Warmup,
 		MeasureAccesses: spec.Measure,
-		EngineShards:    spec.EngineShards,
-		EngineWindow:    spec.EngineWindow,
 		Metrics:         reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
 	res, err := r.RunContext(ctx)
 	if err != nil {
 		return nil, err

@@ -156,7 +156,7 @@ func (s *Server) Drain(ctx context.Context) ([]string, error) {
 	fc := s.fleetC
 	s.mu.Unlock()
 	for _, j := range requeuedJobs {
-		s.recordJob(j, StateRequeued, nil)
+		s.recordJob(j.Status(), nil)
 	}
 
 	idle := make(chan struct{})
@@ -224,25 +224,33 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.jobMillis.Observe(uint64(time.Since(start).Milliseconds()))
 
-	now := time.Now()
+	var state JobState
 	switch {
 	case err == nil:
-		j.finish(StateDone, result, nil, now)
+		state = StateDone
 		s.done.Inc()
-		s.recordJob(j, StateDone, result)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCanceled, nil, err, now)
+		state = StateCanceled
 		s.canceled.Inc()
-		s.recordJob(j, StateCanceled, nil)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateFailed, nil, fmt.Errorf("job exceeded %v timeout: %w", s.cfg.JobTimeout, err), now)
+		state = StateFailed
+		err = fmt.Errorf("job exceeded %v timeout: %w", s.cfg.JobTimeout, err)
 		s.failed.Inc()
-		s.recordJob(j, StateFailed, nil)
 	default:
-		j.finish(StateFailed, nil, err, now)
+		state = StateFailed
 		s.failed.Inc()
-		s.recordJob(j, StateFailed, nil)
 	}
+	// Only this worker can end a running job, so the terminal record can be
+	// written before the state is published: a client that sees the job
+	// finished also finds it finished in the ledger.
+	now := time.Now()
+	st := j.Status()
+	st.State, st.Finished, st.Err = state, now, ""
+	if err != nil {
+		st.Err = err.Error()
+	}
+	s.recordJob(st, result)
+	j.finish(state, result, err, now)
 
 	// The job's engines are quiescent now; fold their counters into the
 	// cumulative simulation snapshot.
@@ -298,29 +306,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 		return
 	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	ctx, cancel := context.WithCancel(context.Background())
-	job := newJob(id, spec, ctx, cancel, time.Now())
-	select {
-	case s.queue <- job:
-		s.jobs[id] = job
-		s.order = append(s.order, id)
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
-		s.submitted.Inc()
-		// The submission record is what lets a -store-dir restart re-submit
-		// jobs a SIGKILL caught before they finished.
-		s.recordJob(job, StateQueued, nil)
-		writeJSON(w, http.StatusAccepted, job.Status())
-	default:
-		s.nextID-- // not accepted; reuse the ID
-		s.mu.Unlock()
-		cancel()
 		s.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			"job queue full (%d queued); retry later", s.cfg.QueueDepth)
+		return
 	}
+	s.nextID++
+	id := fmt.Sprintf("job-%d", s.nextID)
+	ctx, cancel := context.WithCancel(context.Background())
+	job := newJob(id, spec, ctx, cancel, time.Now())
+	s.jobs[id] = job
+	s.order = append(s.order, id)
+	// The status is taken before a worker can see the job, so the 202 always
+	// says queued. The queued record is what lets a -store-dir restart
+	// re-submit jobs a SIGKILL caught before they finished.
+	status := s.enqueueLocked(job)
+	s.mu.Unlock()
+	s.submitted.Inc()
+	writeJSON(w, http.StatusAccepted, status)
 }
 
 // lookup resolves {id} or writes a 404.

@@ -681,3 +681,23 @@ func TestLeakJob(t *testing.T) {
 		t.Fatalf("/metricz leakage/trials_total = %d, want 60", v)
 	}
 }
+
+// TestSubmitRefusesRetiredEngineOptions: the engine_shards and engine_window
+// fields are no longer part of the job spec; the strict decoder refuses them
+// with a 400 that names the field instead of silently running serially.
+func TestSubmitRefusesRetiredEngineOptions(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	for _, field := range []string{"engine_shards", "engine_window"} {
+		body := `{"kind":"replay","workload":"uniform:256","cores":2,"` + field + `":2}`
+		resp, err := http.Post(s.ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
+			t.Errorf("%s: HTTP %d %q, want 400 naming the field", field, resp.StatusCode, e.Error)
+		}
+	}
+}

@@ -96,19 +96,6 @@ type JobSpec struct {
 	// (default 100k).
 	PerfAccesses int `json:"perf_accesses,omitempty"`
 
-	// EngineShards (KindLeak, KindLeaderboard, KindReplay), when > 1, runs
-	// each engine with its directory slices sharded over that many
-	// goroutines. Results are bit-identical to the serial engine by
-	// construction, so the field is an execution knob, not a model knob; it
-	// is still recorded in the run ledger for full provenance. Ignored by
-	// fleet execution (workers pick their own engine layout — results match
-	// regardless).
-	EngineShards int `json:"engine_shards,omitempty"`
-	// EngineWindow (same kinds), when > 1 with EngineShards > 1, schedules
-	// accesses through conflict windows of up to this many transactions.
-	// Bit-identical like EngineShards, and recorded alongside it.
-	EngineWindow int `json:"engine_window,omitempty"`
-
 	// Fleet (KindLeak, KindLeaderboard) asks the server to run the sweep
 	// across its worker fleet instead of in-process. Rejected unless the
 	// server was started as a coordinator.
@@ -214,9 +201,6 @@ func (s *JobSpec) Normalize() error {
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q (want experiment, attack, replay, leak, or leaderboard)", s.Kind)
-	}
-	if s.EngineShards < 0 || s.EngineWindow < 0 {
-		return fmt.Errorf("engine_shards and engine_window must be >= 0, got %d/%d", s.EngineShards, s.EngineWindow)
 	}
 	if s.Fleet && s.Kind != KindLeak && s.Kind != KindLeaderboard {
 		return fmt.Errorf("fleet execution is only available for leak and leaderboard jobs, not %q", s.Kind)

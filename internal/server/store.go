@@ -66,9 +66,9 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 	}
 
 	rc := &StoreRecovery{}
-	var resubmitted []*Job
 	now := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.st = st
 	for _, id := range order {
 		rec := last[id]
@@ -97,31 +97,25 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 			s.order = append(s.order, id)
 			rc.Restored++
 		case string(StateQueued), string(StateRequeued):
+			if len(s.queue) == cap(s.queue) {
+				rc.Dropped = append(rc.Dropped, id+": queue full on resubmission")
+				continue
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			j := newJob(id, spec, ctx, cancel, now)
-			select {
-			case s.queue <- j:
-				s.jobs[id] = j
-				s.order = append(s.order, id)
-				rc.Resubmitted = append(rc.Resubmitted, id)
-				resubmitted = append(resubmitted, j)
-			default:
-				cancel()
-				rc.Dropped = append(rc.Dropped, id+": queue full on resubmission")
-			}
+			s.jobs[id] = j
+			s.order = append(s.order, id)
+			rc.Resubmitted = append(rc.Resubmitted, id)
+			// The resubmission itself is an auditable event: the job gets a
+			// fresh "queued" record, so the ledger reads
+			// queued → requeued → queued → done across the restart.
+			s.enqueueLocked(j)
 		default:
 			rc.Dropped = append(rc.Dropped, id+": unknown recorded state "+rec.State)
 		}
 	}
 	if maxID > s.nextID {
 		s.nextID = maxID
-	}
-	s.mu.Unlock()
-	// The resubmission itself is an auditable event: each re-enqueued job gets
-	// a fresh "queued" record, so the ledger reads
-	// queued → requeued → queued → done across the restart.
-	for _, j := range resubmitted {
-		s.recordJob(j, StateQueued, nil)
 	}
 	return rc, nil
 }
@@ -146,47 +140,66 @@ func (s *Server) storeHandle() *store.Store {
 	return s.st
 }
 
-// recordJob appends one job lifecycle record to the ledger (a no-op without
-// a store). result, when non-nil, is stored as a content-addressed artifact
-// first. Failures never fail the job: they are counted and surfaced in
-// /storez.
-func (s *Server) recordJob(j *Job, state JobState, result any) {
-	st := s.storeHandle()
-	if st == nil {
-		return
-	}
-	rec, err := jobRecord(j, state)
-	if err == nil && result != nil {
-		rec.ResultDigest, err = st.PutArtifact(result)
-	}
-	if err == nil {
-		_, err = st.Append(rec)
-	}
-	if err != nil {
+// recordJob appends the job lifecycle record st to the ledger (a no-op
+// without a store). result, when non-nil, is stored as a content-addressed
+// artifact first. Failures never fail the job: they are counted and surfaced
+// in /storez.
+func (s *Server) recordJob(st JobStatus, result any) {
+	if err := appendJob(s.storeHandle(), st, result); err != nil {
 		s.noteStoreErr(err)
 	}
 }
 
-// jobRecord builds the ledger record describing j at state.
-func jobRecord(j *Job, state JobState) (store.RunRecord, error) {
-	spec, err := store.CanonicalJSON(j.Spec)
+// enqueueLocked appends j's "queued" record and hands j to the worker pool,
+// returning the status it recorded. The caller holds s.mu and has checked
+// that the queue has room; every sender holds s.mu, so the send cannot
+// block. The record goes first so no worker can start the job — let alone
+// append its terminal record — before the ledger says it was queued:
+// AttachStore's last-record-wins replay would otherwise re-run a finished
+// job.
+func (s *Server) enqueueLocked(j *Job) JobStatus {
+	st := j.Status()
+	if err := appendJob(s.st, st, nil); err != nil {
+		s.storeErrs.Inc()
+		s.lastStoreErr = err.Error()
+	}
+	s.queue <- j
+	return st
+}
+
+// appendJob appends the record of job status st to the store (a no-op when
+// the store is nil), storing result as an artifact first when non-nil.
+func appendJob(to *store.Store, st JobStatus, result any) error {
+	if to == nil {
+		return nil
+	}
+	rec, err := jobRecord(st)
+	if err == nil && result != nil {
+		rec.ResultDigest, err = to.PutArtifact(result)
+	}
+	if err == nil {
+		_, err = to.Append(rec)
+	}
+	return err
+}
+
+// jobRecord builds the ledger record describing job status st.
+func jobRecord(st JobStatus) (store.RunRecord, error) {
+	spec, err := store.CanonicalJSON(st.Spec)
 	if err != nil {
 		return store.RunRecord{}, err
 	}
-	status := j.Status()
 	rec := store.RunRecord{
-		Kind:         store.KindJob,
-		JobID:        j.ID,
-		State:        string(state),
-		Spec:         spec,
-		Seed:         j.Spec.Seed,
-		EngineShards: j.Spec.EngineShards,
-		EngineWindow: j.Spec.EngineWindow,
-		Strategy:     strings.Join(j.Spec.Strategies, ","),
-		Submitted:    status.Submitted,
-		Started:      status.Started,
-		Finished:     status.Finished,
-		Err:          status.Err,
+		Kind:      store.KindJob,
+		JobID:     st.ID,
+		State:     string(st.State),
+		Spec:      spec,
+		Seed:      st.Spec.Seed,
+		Strategy:  strings.Join(st.Spec.Strategies, ","),
+		Submitted: st.Submitted,
+		Started:   st.Started,
+		Finished:  st.Finished,
+		Err:       st.Err,
 	}
 	return rec, nil
 }

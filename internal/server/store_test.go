@@ -269,3 +269,186 @@ func TestStorezReportsChainHead(t *testing.T) {
 		t.Errorf("unexpected store error surfaced: %s", body.LastError)
 	}
 }
+
+// jobStates returns each job's ledger states in append order.
+func jobStates(t *testing.T, st *store.Store) map[string][]string {
+	t.Helper()
+	recs, err := st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string][]string{}
+	for _, rec := range recs {
+		if rec.Kind == store.KindJob {
+			states[rec.JobID] = append(states[rec.JobID], rec.State)
+		}
+	}
+	return states
+}
+
+// TestStoreQueuedRecordPrecedesRun: the queued record and the 202 status
+// are taken before a worker can receive the job. With four idle workers and
+// a stream of near-instant jobs, every 202 must say queued, every job's
+// ledger history must read queued … done, and a restart must find nothing
+// to resubmit (a done-then-queued history would re-run a finished job).
+func TestStoreQueuedRecordPrecedesRun(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig()
+	cfg.Workers = 4
+	cfg.QueueDepth = 64
+	s := newStoredServer(t, cfg, dir)
+
+	spec := JobSpec{Kind: KindReplay, Workload: "uniform:64", Cores: 2, Measure: 1}
+	const jobs = 48
+	ids := make([]string, jobs)
+	for i := range ids {
+		ids[i] = s.submit(t, spec, 0).ID // submit fails unless the 202 says queued
+	}
+	for _, id := range ids {
+		s.waitState(t, id, StateDone, 30*time.Second)
+	}
+	states := jobStates(t, s.st)
+	for _, id := range ids {
+		h := states[id]
+		if len(h) < 2 || h[0] != string(StateQueued) || h[len(h)-1] != string(StateDone) {
+			t.Errorf("job %s ledger states %v, want queued first and done last", id, h)
+		}
+	}
+	s.shutdown(t)
+
+	s2 := newStoredServer(t, cfg, dir)
+	if len(s2.rc.Resubmitted) != 0 || s2.rc.Restored != jobs {
+		t.Fatalf("restart resubmitted %v and restored %d, want none and %d (dropped: %v)",
+			s2.rc.Resubmitted, s2.rc.Restored, jobs, s2.rc.Dropped)
+	}
+}
+
+// TestStoreRefusedJobLeavesNoRecord: a submission refused with 429 never
+// reaches the ledger.
+func TestStoreRefusedJobLeavesNoRecord(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	s := newStoredServer(t, cfg, t.TempDir())
+
+	running := s.submit(t, hugeReplay(), 0)
+	s.waitState(t, running.ID, StateRunning, 10*time.Second)
+	queued := s.submit(t, hugeReplay(), 0)
+	s.submit(t, quickReplay(), http.StatusTooManyRequests)
+	states := jobStates(t, s.st)
+	if len(states) != 2 || len(states[running.ID]) != 1 || len(states[queued.ID]) != 1 {
+		t.Errorf("ledger after a refused submission: %v, want one queued record each for %s and %s",
+			states, running.ID, queued.ID)
+	}
+	s.cancelJob(t, queued.ID)
+	s.cancelJob(t, running.ID)
+}
+
+// legacySpec returns spec's canonical JSON with the engine_shards and
+// engine_window keys a ledger written before those options were retired
+// carries.
+func legacySpec(t *testing.T, spec json.RawMessage) json.RawMessage {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(spec, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["engine_shards"], m["engine_window"] = 2, 8
+	out, err := store.CanonicalJSON(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestStoreLegacyEngineOptionsReplay: a ledger whose records carry the
+// retired engine_shards/engine_window fields — in the record and in the
+// recorded spec — still verifies, its done job serves the recorded result
+// byte-identically, and its queued job is resubmitted and runs on the serial
+// engine to the same result.
+func TestStoreLegacyEngineOptionsReplay(t *testing.T) {
+	// A real done job supplies the records and the result bytes.
+	first := newStoredServer(t, quickConfig(), t.TempDir())
+	done := first.submit(t, quickReplay(), 0)
+	first.waitState(t, done.ID, StateDone, 30*time.Second)
+	want := first.resultBytes(t, done.ID)
+	recs, err := first.st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifacts := map[string][]byte{}
+	for _, rec := range recs {
+		if rec.ResultDigest != "" {
+			if artifacts[rec.ResultDigest], err = first.st.Artifact(rec.ResultDigest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first.shutdown(t)
+
+	// Rewrite them into a fresh ledger as the sharded-era server wrote
+	// them, plus a queued job that never ran.
+	dir := t.TempDir()
+	b, err := store.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := store.Open(b, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if data, ok := artifacts[rec.ResultDigest]; ok {
+			if _, err := legacy.PutRawArtifact(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec.Index, rec.PrevHash, rec.Hash = 0, "", ""
+		rec.Spec = legacySpec(t, rec.Spec)
+		rec.EngineShards, rec.EngineWindow = 2, 8
+		if _, err := legacy.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := "job-2"
+	if _, err := legacy.Append(store.RunRecord{
+		Kind: store.KindJob, JobID: pending, State: string(StateQueued),
+		Spec: legacySpec(t, recs[0].Spec), EngineShards: 2, EngineWindow: 8,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := legacy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.VerifyChain(b); err != nil {
+		t.Fatalf("legacy chain: %v", err)
+	}
+
+	s := newStoredServer(t, quickConfig(), dir)
+	if s.rc.Restored != 1 || len(s.rc.Resubmitted) != 1 || s.rc.Resubmitted[0] != pending {
+		t.Fatalf("replay restored %d and resubmitted %v, want 1 and [%s] (dropped: %v)",
+			s.rc.Restored, s.rc.Resubmitted, pending, s.rc.Dropped)
+	}
+	if got := s.resultBytes(t, done.ID); !bytes.Equal(got, want) {
+		t.Errorf("legacy done job result changed:\nrecorded: %s\nserved:   %s", want, got)
+	}
+	s.waitState(t, pending, StateDone, 30*time.Second)
+	var a, c struct {
+		Result ReplayResult `json:"result"`
+	}
+	s.getResult(t, done.ID, &a)
+	s.getResult(t, pending, &c)
+	if a.Result != c.Result {
+		t.Errorf("resubmitted legacy job result %+v, want %+v", c.Result, a.Result)
+	}
+	recs, err = s.st.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := recs[len(recs)-1]
+	if last.JobID != pending || last.State != string(StateDone) || last.EngineShards != 0 || last.EngineWindow != 0 ||
+		bytes.Contains(last.Spec, []byte("engine_")) {
+		t.Errorf("resubmitted job's final record %s (engine_shards %d, engine_window %d, spec %s), want done with no engine options",
+			last, last.EngineShards, last.EngineWindow, last.Spec)
+	}
+}

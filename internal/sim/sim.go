@@ -38,19 +38,6 @@ type Options struct {
 	// IPCSampleEvery overrides the IPC sampling interval in accesses
 	// (default 1024). Ignored when Metrics is nil.
 	IPCSampleEvery uint64
-	// EngineShards, when > 1, builds the machine with its directory slices
-	// sharded over that many goroutines (coherence.Sharded) instead of the
-	// serial engine. Results are bit-identical either way; call Close after
-	// the run to release the shard goroutines.
-	EngineShards int
-	// EngineWindow, when > 1 and the engine is sharded, schedules each
-	// core's bursts through conflict windows of up to this many accesses:
-	// window transactions run concurrently on their home shards while the
-	// results commit in program order, so the run stays bit-identical to the
-	// serial engine. Ignored without EngineShards > 1. Burst batching is
-	// sized so per-core clock interleaving and context-cancellation checks
-	// land at exactly the serial positions.
-	EngineWindow int
 }
 
 // CoreResult summarises one core's measured phase.
@@ -113,13 +100,8 @@ func (r Result) L2Misses() uint64 {
 
 // Runner drives a workload over an engine with per-core clocks.
 type Runner struct {
-	Engine   *coherence.Engine
-	sharded  *coherence.Sharded // non-nil when EngineShards > 1
-	windowed bool               // conflict-window batching enabled
-	worstLat uint64             // upper bound on any single access latency
-	opsBuf   []coherence.BatchOp
-	resBuf   []coherence.AccessResult
-	opts     Options
+	Engine *coherence.Engine
+	opts   Options
 }
 
 // New builds the machine and binds the workload.
@@ -127,78 +109,20 @@ func New(opts Options) (*Runner, error) {
 	if opts.Work.Cores() != opts.Config.Cores {
 		return nil, fmt.Errorf("sim: workload drives %d cores, machine has %d", opts.Work.Cores(), opts.Config.Cores)
 	}
-	r := &Runner{opts: opts}
-	if opts.EngineShards > 1 {
-		sh, err := coherence.NewSharded(opts.Config, opts.EngineShards)
-		if err != nil {
-			return nil, err
-		}
-		r.sharded, r.Engine = sh, sh.Engine
-		if opts.EngineWindow > 1 {
-			sh.SetWindow(opts.EngineWindow)
-			r.windowed = true
-			r.worstLat = worstAccessLatency(opts.Config)
-			r.opsBuf = make([]coherence.BatchOp, genChunk)
-			r.resBuf = make([]coherence.AccessResult, genChunk)
-		}
-	} else {
-		e, err := coherence.NewEngine(opts.Config)
-		if err != nil {
-			return nil, err
-		}
-		r.Engine = e
+	e, err := coherence.NewEngine(opts.Config)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Metrics != nil {
-		r.Engine.AttachMetrics(opts.Metrics)
+		e.AttachMetrics(opts.Metrics)
 	}
-	return r, nil
+	return &Runner{Engine: e, opts: opts}, nil
 }
 
-// WindowStats returns the conflict-window scheduler's occupancy counters
-// (zeros when windowing is disabled).
-func (r *Runner) WindowStats() coherence.WindowStats {
-	if r.sharded != nil {
-		return r.sharded.WindowStats()
-	}
-	return coherence.WindowStats{}
-}
-
-// worstAccessLatency upper-bounds the cycles a single access can charge, for
-// sizing windowed bursts against the clock-interleaving limit. Deliberately
-// generous (every additive term at its maximum, no MLP division): an
-// overestimate only shortens batches, never reorders them.
-func worstAccessLatency(cfg config.Config) uint64 {
-	maxDir := cfg.Lat.DirLocalRT
-	if cfg.Lat.DirRemoteRT > maxDir {
-		maxDir = cfg.Lat.DirRemoteRT
-	}
-	if hop := cfg.Lat.MeshHopRT; hop > 0 {
-		w := 4
-		if cfg.Cores < w {
-			w = cfg.Cores
-		}
-		rows := (cfg.Cores + w - 1) / w
-		if d := cfg.Lat.DirLocalRT + hop*((w-1)+(rows-1)); d > maxDir {
-			maxDir = d
-		}
-	}
-	vdRounds := cfg.Cores
-	if vdRounds < 1 {
-		vdRounds = 1
-	}
-	lat := cfg.Lat.L1RT + cfg.Lat.L2RT + maxDir +
-		cfg.Lat.EBCheck + cfg.Lat.VDAccess*vdRounds +
-		cfg.Lat.DRAMRT + cfg.Lat.CacheToCore
-	return uint64(lat)
-}
-
-// Close releases the shard goroutines of a sharded runner (no-op for the
-// serial engine). The engine stays readable and serially usable afterwards.
-func (r *Runner) Close() {
-	if r.sharded != nil {
-		r.sharded.Close()
-	}
-}
+// Close releases the runner's resources. The serial engine holds none, so
+// it is a no-op kept for callers that pair every New with a Close; the
+// engine stays readable afterwards.
+func (r *Runner) Close() {}
 
 // vdSelfConflicts sums cuckoo conflicts across all SecDir slices.
 func vdSelfConflicts(e *coherence.Engine) uint64 {
@@ -323,10 +247,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 		remaining := cores
 		instrumented := observe && (r.opts.Observer != nil || ipcSeries != nil)
-		// Conflict-window batching needs the whole burst up front; per-access
-		// instrumentation needs the serial loop. Warmup (never instrumented)
-		// and uninstrumented measurement take the windowed path.
-		useWin := r.windowed && !instrumented
 		// scan mirrors clocks with finished cores forced to the maximum, so
 		// the pick loop below is a plain two-minimum scan with no per-core
 		// done[] test.
@@ -360,84 +280,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 			ck := clocks[best]
 			ins := instrs[best]
 			dn := done[best]
-			if useWin {
-				// Windowed burst: hand the engine runs of accesses whose
-				// slice transactions may overlap. Each batch is sized so the
-				// serial loop would provably have executed every access in it
-				// before its target/limit/cancellation breaks — the burst
-				// boundaries, cancel-check positions and access order are
-				// bit-identical to the serial path below.
-				for {
-					// Serial first-access check discipline, verbatim.
-					if sinceCheck++; sinceCheck >= cancelCheckEvery {
-						sinceCheck = 0
-						if err := ctx.Err(); err != nil {
-							clocks[best] = ck
-							instrs[best] = ins
-							done[best] = dn
-							return err
-						}
-					}
-					if st.pos == len(st.buf) {
-						refill(best)
-					}
-					// Cap the batch so no cancel check lands inside it, it
-					// never crosses the phase target, and — under the
-					// worst-case latency bound — access k's clock can never
-					// pass the runner-up's limit before access k+1 issues.
-					n := int(cancelCheckEvery - sinceCheck)
-					if avail := len(st.buf) - st.pos; n > avail {
-						n = avail
-					}
-					if rem := target - dn; uint64(n) > rem {
-						n = int(rem)
-					}
-					if n > 1 && limit != ^uint64(0) {
-						w := ck
-						m := 1
-						for m < n {
-							a := st.buf[st.pos+m-1]
-							w += uint64(a.Gap) + r.worstLat
-							if w > limit || (strict && w == limit) {
-								break
-							}
-							m++
-						}
-						n = m
-					}
-					ops := r.opsBuf[:n]
-					for i := 0; i < n; i++ {
-						a := st.buf[st.pos+i]
-						ops[i] = coherence.BatchOp{Line: a.Line, Write: a.Write}
-					}
-					res := r.resBuf[:n]
-					r.Engine.AccessBatch(best, ops, res)
-					for i := 0; i < n; i++ {
-						a := st.buf[st.pos+i]
-						ck += uint64(a.Gap) + uint64(res[i].Latency)
-						ins += uint64(a.Gap) + 1
-					}
-					st.pos += n
-					dn += uint64(n)
-					sinceCheck += uint64(n - 1)
-					if dn >= target {
-						break
-					}
-					if ck > limit || (strict && ck == limit) {
-						break
-					}
-				}
-				clocks[best] = ck
-				instrs[best] = ins
-				done[best] = dn
-				if dn >= target {
-					remaining--
-					scan[best] = ^uint64(0)
-				} else {
-					scan[best] = ck
-				}
-				continue
-			}
 			for {
 				// Same counter discipline as the historical per-access loop:
 				// the check runs ahead of access N for N ≡ 0 (mod window),

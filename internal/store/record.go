@@ -97,10 +97,12 @@ type RunRecord struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 	// Seed is the run's master seed.
 	Seed int64 `json:"seed,omitempty"`
-	// EngineShards and EngineWindow are the engine options the run executed
-	// with (0 = serial engine / no windowing).
+	// EngineShards and EngineWindow are legacy, read-only fields: ledgers
+	// written while the engine had sharded and conflict-window modes record
+	// the options a run executed with. Nothing writes them any more; they
+	// stay so strict parsing (and so VerifyChain) accepts those ledgers.
 	EngineShards int `json:"engine_shards,omitempty"`
-	// EngineWindow is the conflict-window size used (0 = none).
+	// EngineWindow is the legacy conflict-window size (0 = none).
 	EngineWindow int `json:"engine_window,omitempty"`
 	// Strategy names the attack strategies of a leakage run.
 	Strategy string `json:"strategy,omitempty"`
