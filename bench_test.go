@@ -6,6 +6,7 @@ package secdir_test
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"secdir/internal/area"
@@ -208,7 +209,7 @@ func attackVDConflicts(b *testing.B, mutate func(*config.Config)) float64 {
 func BenchmarkAblationNumRelocations(b *testing.B) {
 	for _, n := range []int{0, 2, 4, 8, 16} {
 		n := n
-		b.Run(benchName("relocations", n), func(b *testing.B) {
+		b.Run("relocations="+strconv.Itoa(n), func(b *testing.B) {
 			var c float64
 			for i := 0; i < b.N; i++ {
 				c = attackVDConflicts(b, func(cfg *config.Config) { cfg.NumRelocations = n })
@@ -264,7 +265,7 @@ func BenchmarkAblationEmptyBit(b *testing.B) {
 func BenchmarkAblationWED(b *testing.B) {
 	for wED := 6; wED <= 10; wED++ {
 		wED := wED
-		b.Run(benchName("wed", wED), func(b *testing.B) {
+		b.Run("wed="+strconv.Itoa(wED), func(b *testing.B) {
 			var s area.Sizing
 			for i := 0; i < b.N; i++ {
 				s = area.SizeVD(8, wED)
@@ -309,7 +310,7 @@ func BenchmarkAblationAppendixAFix(b *testing.B) {
 func BenchmarkAblationVDStash(b *testing.B) {
 	for _, stash := range []int{0, 2, 4, 8} {
 		stash := stash
-		b.Run(benchName("stash", stash), func(b *testing.B) {
+		b.Run("stash="+strconv.Itoa(stash), func(b *testing.B) {
 			var c float64
 			for i := 0; i < b.N; i++ {
 				c = attackVDConflicts(b, func(cfg *config.Config) { cfg.VDStash = stash })
@@ -324,7 +325,7 @@ func BenchmarkAblationVDStash(b *testing.B) {
 func BenchmarkAblationSearchBatch(b *testing.B) {
 	for _, batch := range []int{0, 2, 4} {
 		batch := batch
-		b.Run(benchName("batch", batch), func(b *testing.B) {
+		b.Run("batch="+strconv.Itoa(batch), func(b *testing.B) {
 			var ipc float64
 			for i := 0; i < b.N; i++ {
 				cfg := config.SecDirConfig(8)
@@ -392,46 +393,6 @@ func BenchmarkAblationProtocol(b *testing.B) {
 			b.ReportMetric(wb, "mem-writebacks")
 		})
 	}
-}
-
-// BenchmarkAccessThroughput measures the simulator's raw access rate on both
-// designs (engine hot path, allocation-free steady state).
-func BenchmarkAccessThroughput(b *testing.B) {
-	for _, kind := range []config.DirectoryKind{config.Baseline, config.SecDir} {
-		kind := kind
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := config.SkylakeX(8)
-			if kind == config.SecDir {
-				cfg = config.SecDirConfig(8)
-			}
-			e, err := coherence.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a := gen.Next()
-				e.Access(i&7, a.Line, a.Write)
-			}
-		})
-	}
-}
-
-// benchName formats a sub-benchmark name with a numeric parameter.
-func benchName(prefix string, v int) string {
-	const digits = "0123456789"
-	if v == 0 {
-		return prefix + "=0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = digits[v%10]
-		v /= 10
-	}
-	return prefix + "=" + string(buf[i:])
 }
 
 // BenchmarkAblationL2Policy compares private-cache replacement policies

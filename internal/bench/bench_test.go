@@ -1,237 +1,217 @@
+// Package bench holds the microbenchmarks of the per-access hot paths —
+// the coherence engine on every leaderboard design, the SecDir slice Miss
+// path, cuckoo VD insert/remove and the cache replacement policies — and
+// TestHotPathAllocFree, which pins the invariant they guard: after warmup,
+// each of these paths performs zero heap allocations per operation.
+//
+// End-to-end and per-layer timings live in perfbench/; run these with
+//
+//	go test -run '^$' -bench . -benchmem ./internal/bench/
 package bench
 
 import (
-	"fmt"
-	"math"
-	"path/filepath"
 	"testing"
 
+	"secdir/internal/addr"
 	"secdir/internal/cachesim"
 	"secdir/internal/coherence"
 	"secdir/internal/config"
+	"secdir/internal/core"
+	"secdir/internal/cuckoo"
+	"secdir/internal/rng"
 	"secdir/internal/trace"
 )
 
-// BenchmarkAccess wraps the harness's baseline-engine microbenchmark.
-func BenchmarkAccess(b *testing.B) { Access(b) }
+// warmupAccesses is how many accesses each engine benchmark performs before
+// the timer starts, so fills, directory migrations and buffer growth settle
+// and the measured loop sees only steady state.
+const warmupAccesses = 200_000
 
-// BenchmarkSecDirLookup wraps the harness's slice-lookup microbenchmark.
-func BenchmarkSecDirLookup(b *testing.B) { SecDirLookup(b) }
+// setupFunc builds one hot path's warmed-up state and returns its loop body;
+// op(i) performs the i-th measured operation. A benchmark and its
+// TestHotPathAllocFree case share the same setupFunc.
+type setupFunc func(tb testing.TB) (op func(i int))
 
-// BenchmarkCuckooInsert wraps the harness's VD-insert microbenchmark.
-func BenchmarkCuckooInsert(b *testing.B) { CuckooInsert(b) }
-
-// BenchmarkCachePolicies runs the per-policy probe+fill microbenchmark for
-// every replacement policy the cache supports.
-func BenchmarkCachePolicies(b *testing.B) {
-	for _, p := range []cachesim.Policy{cachesim.LRU, cachesim.Random, cachesim.SRRIP, cachesim.PLRU} {
-		b.Run(p.String(), CachePolicy(p))
-	}
+// design is one directory design of the cross-defense leaderboard at the
+// benchmark core count.
+type design struct {
+	name string
+	cfg  config.Config
 }
 
-// BenchmarkEngineMixed wraps the harness's SecDir-engine microbenchmark. The
-// acceptance invariant — 0 allocs/op in steady state — is asserted by
-// TestEngineMixedAllocFree so it fails fast in `go test` runs too.
-func BenchmarkEngineMixed(b *testing.B) { EngineMixed(b) }
-
-// BenchmarkDefenses runs the steady-state access path of every rival defense
-// of the cross-defense leaderboard.
-func BenchmarkDefenses(b *testing.B) {
-	for _, d := range DefenseConfigs() {
-		b.Run(d.Name, Defense(d.Config))
-	}
-}
-
-// TestEngineMixedAllocFree pins the allocation-free hot-path invariant: after
-// warmup, Engine.Access performs zero heap allocations per access on every
-// design the leaderboard races.
-func TestEngineMixedAllocFree(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  config.Config
-	}{
+// engineDesigns returns the designs the leaderboard races, in report order.
+func engineDesigns() []design {
+	return []design{
 		{"skylake", config.SkylakeX(8)},
 		{"secdir", config.SecDirConfig(8)},
+		{"skewed", config.SkewedConfig(8)},
+		{"dls", config.DLSConfig(8)},
+		{"tagpart", config.TagPartConfig(8)},
+		{"ceaser", config.CeaserConfig(8, 20_000)},
 	}
-	for _, d := range DefenseConfigs() {
-		cases = append(cases, struct {
-			name string
-			cfg  config.Config
-		}{d.Name, d.Config})
+}
+
+// policies are the replacement policies the cache supports.
+var policies = []cachesim.Policy{cachesim.LRU, cachesim.Random, cachesim.SRRIP, cachesim.PLRU}
+
+// engineAccess is the engine's steady-state access path on a uniform mixed
+// read/write working set larger than the private caches. On SecDir it
+// exercises every Table 2 transition (fills, TD conflicts, VD migrations and
+// consolidations); the same loop on every design keeps the rows comparable.
+func engineAccess(cfg config.Config) setupFunc {
+	return func(tb testing.TB) func(int) {
+		e, err := coherence.NewEngine(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
+		op := func(i int) {
+			a := gen.Next()
+			e.Access(i&7, a.Line, a.Write)
+		}
+		for i := 0; i < warmupAccesses; i++ {
+			op(i)
+		}
+		return op
+	}
+}
+
+// secDirLookup is a single SecDir slice's Miss path — ED/TD probes plus the
+// batched VD search of §5.1 — without the surrounding engine.
+func secDirLookup(tb testing.TB) func(int) {
+	cfg := config.SecDirConfig(8)
+	s := core.New(core.Params{
+		Cores:  cfg.Cores,
+		TDSets: cfg.TDSets, TDWays: cfg.TDWays,
+		EDSets: cfg.EDSets, EDWays: cfg.EDWays,
+		VDSets: cfg.VDSets, VDWays: cfg.VDWays,
+		NumRelocations: cfg.NumRelocations,
+		Cuckoo:         cfg.VDCuckoo,
+		EmptyBit:       cfg.VDEmptyBit,
+		Index:          cachesim.ModIndex(cfg.TDSets),
+		AppendixAFix:   cfg.AppendixAFix,
+		Seed:           1,
+	})
+	// Populate well past the ED+TD capacity so look-ups hit a mix of ED, TD,
+	// VD and memory, and TD conflicts migrate entries into the VDs.
+	const lines = 1 << 14
+	for i := 0; i < lines; i++ {
+		s.Miss(i&7, addr.Line(1<<20+i), false)
+	}
+	return func(i int) {
+		s.Miss(i&7, addr.Line(1<<20+i&(lines-1)), false)
+	}
+}
+
+// cuckooInsert is a VD bank insert/remove cycle at full occupancy, where
+// every insertion walks a relocation chain (Appendix B).
+func cuckooInsert(tb testing.TB) func(int) {
+	cfg := config.SecDirConfig(8)
+	t := cuckoo.New(cuckoo.Config{
+		Sets:           cfg.VDSets,
+		Ways:           cfg.VDWays,
+		NumRelocations: cfg.NumRelocations,
+		Cuckoo:         true,
+		Seed:           1,
+	})
+	// Twice the capacity: half the inserts displace a live entry.
+	lines := 2 * t.Capacity()
+	for i := 0; i < lines; i++ {
+		t.Insert(addr.Line(i))
+	}
+	return func(i int) {
+		l := addr.Line(i % lines)
+		if _, evicted := t.Insert(l); !evicted {
+			t.Remove(l)
+		}
+	}
+}
+
+// cachePolicy is a probe+fill on a standalone L2-shaped cache (1024 sets ×
+// 16 ways), uniform over four times its capacity so roughly three quarters
+// of probes miss and fill. It isolates the tag-scan and victim-selection
+// cost that every simulated access pays, per policy.
+func cachePolicy(policy cachesim.Policy) setupFunc {
+	return func(tb testing.TB) func(int) {
+		const sets, ways = 1024, 16
+		const footprint = 4 * sets * ways // lines; power of two
+		c := cachesim.New[struct{}](sets, ways, cachesim.ModIndex(sets), policy, 1)
+		r := rng.New(42)
+		for i := 0; i < 2*footprint; i++ {
+			c.Put(addr.Line(r.Uint64()&(footprint-1)), struct{}{})
+		}
+		return func(int) {
+			l := addr.Line(r.Uint64() & (footprint - 1))
+			if _, ok := c.Access(l); !ok {
+				c.Put(l, struct{}{})
+			}
+		}
+	}
+}
+
+// measure times op over b.N operations after setup.
+func measure(b *testing.B, setup setupFunc) {
+	op := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// BenchmarkEngineAccess times Engine.Access on every leaderboard design.
+func BenchmarkEngineAccess(b *testing.B) {
+	for _, d := range engineDesigns() {
+		b.Run(d.name, func(b *testing.B) { measure(b, engineAccess(d.cfg)) })
+	}
+}
+
+// BenchmarkSecDirLookup times the SecDir slice Miss path.
+func BenchmarkSecDirLookup(b *testing.B) { measure(b, secDirLookup) }
+
+// BenchmarkCuckooInsert times VD bank insert/remove at full occupancy.
+func BenchmarkCuckooInsert(b *testing.B) { measure(b, cuckooInsert) }
+
+// BenchmarkCachePolicies times probe+fill for every replacement policy.
+func BenchmarkCachePolicies(b *testing.B) {
+	for _, p := range policies {
+		b.Run(p.String(), func(b *testing.B) { measure(b, cachePolicy(p)) })
+	}
+}
+
+// TestHotPathAllocFree pins the allocation-free hot-path invariant: after
+// warmup, every microbenchmark's loop body performs zero heap allocations
+// per operation. Each case is named after its benchmark.
+func TestHotPathAllocFree(t *testing.T) {
+	type hotPath struct {
+		name  string
+		setup setupFunc
+	}
+	var cases []hotPath
+	for _, d := range engineDesigns() {
+		cases = append(cases, hotPath{"EngineAccess/" + d.name, engineAccess(d.cfg)})
+	}
+	cases = append(cases, hotPath{"SecDirLookup", secDirLookup}, hotPath{"CuckooInsert", cuckooInsert})
+	for _, p := range policies {
+		cases = append(cases, hotPath{"CachePolicies/" + p.String(), cachePolicy(p)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := coherence.NewEngine(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
-			for i := 0; i < warmupAccesses; i++ {
-				a := gen.Next()
-				e.Access(i&7, a.Line, a.Write)
-			}
+			op := tc.setup(t)
 			i := 0
-			avg := testing.AllocsPerRun(5000, func() {
-				a := gen.Next()
-				e.Access(i&7, a.Line, a.Write)
-				i++
+			// AllocsPerRun averages with integer division, which would hide
+			// an allocation made on fewer than every operation; one run of
+			// a whole batch reports the batch's total instead.
+			const batch = 5000
+			n := testing.AllocsPerRun(1, func() {
+				for k := 0; k < batch; k++ {
+					op(i)
+					i++
+				}
 			})
-			if avg != 0 {
-				t.Fatalf("steady-state Access allocates %.3f allocs/op, want 0", avg)
+			if n != 0 {
+				t.Fatalf("%s made %.0f heap allocations in %d operations after warmup, want 0", tc.name, n, batch)
 			}
 		})
-	}
-}
-
-// TestCompareSelf: a report compared against itself has no regressions — the
-// invariant the CI bench job relies on for a freshly refreshed baseline.
-func TestCompareSelf(t *testing.T) {
-	r := &Report{
-		Schema: Schema,
-		Micro: []MicroResult{
-			{Name: "EngineMixed", NsPerOp: 120, AllocsPerOp: 0, BytesPerOp: 0},
-			{Name: "CuckooInsert", NsPerOp: 45.5, AllocsPerOp: 0},
-		},
-		Workloads: []WorkloadResult{{Name: "specmix2/secdir", NsPerAccess: 180}},
-	}
-	if reg := Regressions(Compare(r, r, 0.10)); len(reg) != 0 {
-		t.Fatalf("self-comparison regressed: %v", reg)
-	}
-}
-
-// TestCheckedInBaselinesSelfCompare: every BENCH_*.json committed at the
-// repository root loads under the current schema — including reports that
-// carry sections the harness no longer writes — and compares clean against
-// itself, so any of them can serve as a CI baseline.
-func TestCheckedInBaselinesSelfCompare(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) == 0 {
-		t.Fatal("no checked-in BENCH_*.json found")
-	}
-	for _, p := range paths {
-		r, err := Load(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Micro) == 0 || len(r.Workloads) == 0 {
-			t.Errorf("%s: %d micro and %d workload rows, want both non-empty", p, len(r.Micro), len(r.Workloads))
-		}
-		if reg := Regressions(Compare(r, r, 0.10)); len(reg) != 0 {
-			t.Errorf("%s: self-comparison regressed: %v", p, reg)
-		}
-	}
-}
-
-// TestCompareRegressions exercises the tolerance rules: time regressions past
-// the tolerance fire, within-tolerance drift does not, and any allocation on
-// a zero-alloc baseline fires regardless of tolerance.
-func TestCompareRegressions(t *testing.T) {
-	base := &Report{
-		Schema: Schema,
-		Micro: []MicroResult{
-			{Name: "EngineMixed", NsPerOp: 100, AllocsPerOp: 0},
-			{Name: "Access", NsPerOp: 100, AllocsPerOp: 4},
-		},
-		Workloads: []WorkloadResult{{Name: "wl", NsPerAccess: 100}},
-	}
-	cur := &Report{
-		Schema: Schema,
-		Micro: []MicroResult{
-			{Name: "EngineMixed", NsPerOp: 108, AllocsPerOp: 1}, // ns within 10%, allocs 0->1
-			{Name: "Access", NsPerOp: 125, AllocsPerOp: 3},      // ns +25%, allocs improved
-		},
-		Workloads: []WorkloadResult{{Name: "wl", NsPerAccess: 150}},
-	}
-	reg := Regressions(Compare(base, cur, 0.10))
-	want := map[string]bool{
-		"EngineMixed/allocs-op": true,
-		"Access/ns-op":          true,
-		"wl/ns-access":          true,
-	}
-	if len(reg) != len(want) {
-		t.Fatalf("got %d regressions %v, want %d", len(reg), reg, len(want))
-	}
-	for _, d := range reg {
-		if !want[d.Name] {
-			t.Errorf("unexpected regression %v", d)
-		}
-		if math.IsNaN(d.Ratio) {
-			t.Errorf("%s: NaN ratio", d.Name)
-		}
-	}
-}
-
-// TestReportRoundTrip: WriteFile/Load preserve the report, and FindBaseline
-// picks the newest date.
-func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	old := &Report{Schema: Schema, Date: "2026-01-01", Micro: []MicroResult{{Name: "A", NsPerOp: 1}}}
-	cur := &Report{
-		Schema: Schema, Date: "2026-02-02", GoVersion: "go0.0", GOOS: "linux", GOARCH: "amd64",
-		Micro:     []MicroResult{{Name: "A", NsPerOp: 2, AllocsPerOp: 3, BytesPerOp: 4}},
-		Workloads: []WorkloadResult{{Name: "w", Accesses: 10, NsPerAccess: 5, MAccessesPerSec: 200}},
-	}
-	if err := old.WriteFile(filepath.Join(dir, "BENCH_2026-01-01.json")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.WriteFile(filepath.Join(dir, "BENCH_2026-02-02.json")); err != nil {
-		t.Fatal(err)
-	}
-	path, err := FindBaseline(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_2026-02-02.json" {
-		t.Fatalf("FindBaseline = %s, want the newest report", path)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Date != cur.Date || len(got.Micro) != 1 || got.Micro[0] != cur.Micro[0] ||
-		len(got.Workloads) != 1 || got.Workloads[0] != cur.Workloads[0] {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	if _, err := FindBaseline(t.TempDir()); err == nil {
-		t.Fatal("FindBaseline on an empty dir should fail")
-	}
-}
-
-// TestRunWorkloadContract checks the generic workload runner: best-of-reps
-// timing over the closure's own access count, and error propagation.
-func TestRunWorkloadContract(t *testing.T) {
-	calls := 0
-	res, err := runWorkload(workload{name: "synthetic", run: func() (uint64, error) {
-		calls++
-		return 1000, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != workloadReps {
-		t.Errorf("run called %d times, want %d", calls, workloadReps)
-	}
-	if res.Name != "synthetic" || res.Accesses != 1000 || res.NsPerAccess < 0 {
-		t.Errorf("unexpected result %+v", res)
-	}
-	if _, err := runWorkload(workload{name: "failing", run: func() (uint64, error) {
-		return 0, fmt.Errorf("boom")
-	}}); err == nil {
-		t.Error("runWorkload swallowed the workload error")
-	}
-}
-
-// TestLeakageTrialsWorkload runs the leakage-trials bench row once end to
-// end: it must complete and report the trials' simulated access volume.
-func TestLeakageTrialsWorkload(t *testing.T) {
-	n, err := leakageTrials()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("leakage-trials reported zero simulated accesses")
 	}
 }

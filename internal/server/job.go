@@ -115,6 +115,11 @@ func newJob(id string, spec JobSpec, ctx context.Context, cancel context.CancelF
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is Status with j.mu held.
+func (j *Job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:        j.ID,
 		State:     j.state,
@@ -156,14 +161,22 @@ func (j *Job) State() JobState {
 }
 
 // Cancel aborts the job's context and, if the job had not started, marks it
-// canceled immediately (a queued job's worker discards it on pickup).
-func (j *Job) Cancel(now time.Time) {
+// canceled immediately (a queued job's worker discards it on pickup). For a
+// queued job, record is called with the canceled status before that state is
+// published — with the job locked, so no worker can start it in between —
+// and its error is returned. A running job's worker records its own end.
+func (j *Job) Cancel(now time.Time, record func(JobStatus) error) error {
+	var err error
 	j.mu.Lock()
 	if j.state == StateQueued {
+		st := j.statusLocked()
+		st.State, st.Finished, st.Err = StateCanceled, now, context.Canceled.Error()
+		err = record(st)
 		j.finishLocked(StateCanceled, nil, context.Canceled, now)
 	}
 	j.mu.Unlock()
 	j.cancel()
+	return err
 }
 
 // requeue marks a still-queued job requeued — the graceful-drain path that

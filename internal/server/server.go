@@ -169,10 +169,14 @@ func (s *Server) Drain(ctx context.Context) ([]string, error) {
 	case <-idle:
 	case <-ctx.Done():
 		s.mu.Lock()
+		jobs := make([]*Job, 0, len(s.jobs))
 		for _, j := range s.jobs {
-			j.Cancel(time.Now())
+			jobs = append(jobs, j)
 		}
 		s.mu.Unlock()
+		for _, j := range jobs {
+			s.cancel(j)
+		}
 		<-idle
 		err = ctx.Err()
 	}
@@ -196,7 +200,7 @@ func (s *Server) worker() {
 // terminal-state accounting, cumulative snapshot fold.
 func (s *Server) runJob(j *Job) {
 	if !j.start(time.Now()) {
-		return // cancelled while queued
+		return // canceled while queued; Cancel recorded its end
 	}
 	ctx := j.ctx
 	if s.cfg.JobTimeout > 0 {
@@ -398,8 +402,19 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	job.Cancel(time.Now())
+	s.cancel(job)
 	writeJSON(w, http.StatusOK, job.Status())
+}
+
+// cancel cancels j; a job still queued gets its "canceled" record in the
+// ledger before any client can see it canceled, so a restart restores it as
+// canceled instead of resubmitting it.
+func (s *Server) cancel(j *Job) {
+	st := s.storeHandle()
+	err := j.Cancel(time.Now(), func(js JobStatus) error { return appendJob(st, js, nil) })
+	if err != nil {
+		s.noteStoreErr(err)
+	}
 }
 
 // handleStream streams the job's progress events as NDJSON (one JSON object

@@ -190,6 +190,39 @@ func TestStoreRequeuedJobsResubmitOnRestart(t *testing.T) {
 	}
 }
 
+// TestStoreQueuedCancelSurvivesRestart: a job canceled while still queued
+// gets its canceled record at cancel time, so a restart restores it as
+// canceled instead of resubmitting it.
+func TestStoreQueuedCancelSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig()
+	cfg.Workers = 1
+	s := newStoredServer(t, cfg, dir)
+
+	// One job hogs the single worker; the next stays queued until canceled.
+	huge := s.submit(t, hugeReplay(), 0)
+	s.waitState(t, huge.ID, StateRunning, 30*time.Second)
+	queued := s.submit(t, quickReplay(), 0)
+	s.cancelJob(t, queued.ID)
+	s.waitState(t, queued.ID, StateCanceled, 30*time.Second)
+	s.cancelJob(t, huge.ID)
+	s.waitState(t, huge.ID, StateCanceled, 30*time.Second)
+	s.shutdown(t)
+
+	s2 := newStoredServer(t, cfg, dir)
+	if len(s2.rc.Resubmitted) != 0 || s2.rc.Restored != 2 {
+		t.Fatalf("restart resubmitted %v and restored %d, want none and 2 (dropped: %v)",
+			s2.rc.Resubmitted, s2.rc.Restored, s2.rc.Dropped)
+	}
+	if got := s2.getStatus(t, queued.ID); got.State != StateCanceled {
+		t.Errorf("queued-then-canceled job came back %s, want %s", got.State, StateCanceled)
+	}
+	want := []string{string(StateQueued), string(StateCanceled)}
+	if got := jobStates(t, s2.st)[queued.ID]; !reflect.DeepEqual(got, want) {
+		t.Errorf("job %s ledger states %v, want %v", queued.ID, got, want)
+	}
+}
+
 // TestVersionzMatchesLedgerBuild: /versionz serves exactly the BuildInfo
 // every ledger record carries, so an operator can check a running server
 // against its store.

@@ -25,14 +25,14 @@ func FuzzSDTRDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add(append(valid.Bytes(), 0xDE, 0xAD, 0xBE, 0xEF))                                // trailing junk
-	f.Add(valid.Bytes()[:valid.Len()-5])                                                // truncated body
-	f.Add([]byte{})                                                                     // empty input
-	f.Add([]byte("SDTR\x01\x00"))                                                       // short header
-	f.Add([]byte("SDTR\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                       // zero records
-	f.Add([]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                       // bad magic
-	f.Add([]byte("SDTR\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                       // bad version
-	f.Add([]byte("SDTR\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))                       // absurd count
+	f.Add(append(valid.Bytes(), 0xDE, 0xAD, 0xBE, 0xEF))                                       // trailing junk
+	f.Add(valid.Bytes()[:valid.Len()-5])                                                       // truncated body
+	f.Add([]byte{})                                                                            // empty input
+	f.Add([]byte("SDTR\x01\x00"))                                                              // short header
+	f.Add([]byte("SDTR\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                              // zero records
+	f.Add([]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                              // bad magic
+	f.Add([]byte("SDTR\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00"))                              // bad version
+	f.Add([]byte("SDTR\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff"))                              // absurd count
 	f.Add(append([]byte("SDTR\x01\x00\x01\x00\x00\x00\x00\x00\x00\x00"), make([]byte, 10)...)) // one zero record
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -155,10 +155,10 @@ func TestParseTraceMatchesReadTrace(t *testing.T) {
 func TestParseTraceErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		[]byte("SDTR\x01\x00"),                                   // short header
-		[]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"),   // bad magic
-		[]byte("SDTR\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00"),   // bad version
-		append([]byte("SDTR\x01\x00"), 2, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3), // truncated body
+		[]byte("SDTR\x01\x00"), // short header
+		[]byte("XXXX\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"),                         // bad magic
+		[]byte("SDTR\x09\x00\x00\x00\x00\x00\x00\x00\x00\x00"),                         // bad version
+		append([]byte("SDTR\x01\x00"), 2, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3),                // truncated body
 		append([]byte("SDTR\x01\x00"), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), // absurd count
 	}
 	for i, raw := range cases {
