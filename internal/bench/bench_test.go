@@ -1,8 +1,9 @@
 // Package bench holds the microbenchmarks of the per-access hot paths —
-// the coherence engine on every leaderboard design, the SecDir slice Miss
-// path, cuckoo VD insert/remove and the cache replacement policies — and
-// TestHotPathAllocFree, which pins the invariant they guard: after warmup,
-// each of these paths performs zero heap allocations per operation.
+// the coherence engine on every leaderboard design, the per-trial engine
+// Reset, the SecDir slice Miss path, cuckoo VD insert/remove and the cache
+// replacement policies — and TestHotPathAllocFree, which pins the invariant
+// they guard: after warmup, each of these paths performs zero heap
+// allocations per operation.
 //
 // End-to-end and per-layer timings live in perfbench/; run these with
 //
@@ -70,6 +71,38 @@ func engineAccess(cfg config.Config) setupFunc {
 			e.Access(i&7, a.Line, a.Write)
 		}
 		for i := 0; i < warmupAccesses; i++ {
+			op(i)
+		}
+		return op
+	}
+}
+
+// trialAccesses is about the accesses one leakage trial's attack makes
+// between two engine resets.
+const trialAccesses = 1536
+
+// engineReset is the leakage trial loop's engine cost per access: accesses
+// over a small footprint, with an Engine.Reset after every trialAccesses of
+// them, as the trial runner resets its pooled engine between trials. Reset
+// clears only the sets the burst dirtied, so its amortized share tracks the
+// burst, not the machine's capacity.
+func engineReset(cfg config.Config) setupFunc {
+	return func(tb testing.TB) func(int) {
+		e, err := coherence.NewEngine(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		gen := trace.NewUniform(1<<24, 2048, 0.25, 0, 7)
+		op := func(i int) {
+			a := gen.Next()
+			e.Access(i&7, a.Line, a.Write)
+			if i%trialAccesses == trialAccesses-1 {
+				if err := e.Reset(int64(i)); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < trialAccesses; i++ {
 			op(i)
 		}
 		return op
@@ -166,6 +199,14 @@ func BenchmarkEngineAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineReset times the per-access cost of trial-sized access
+// bursts separated by Engine.Reset, on every leaderboard design.
+func BenchmarkEngineReset(b *testing.B) {
+	for _, d := range engineDesigns() {
+		b.Run(d.name, func(b *testing.B) { measure(b, engineReset(d.cfg)) })
+	}
+}
+
 // BenchmarkSecDirLookup times the SecDir slice Miss path.
 func BenchmarkSecDirLookup(b *testing.B) { measure(b, secDirLookup) }
 
@@ -190,6 +231,11 @@ func TestHotPathAllocFree(t *testing.T) {
 	var cases []hotPath
 	for _, d := range engineDesigns() {
 		cases = append(cases, hotPath{"EngineAccess/" + d.name, engineAccess(d.cfg)})
+	}
+	// Only the SecDir and Baseline slices reset in place; the rival designs
+	// rebuild their slice objects on Reset by design.
+	for _, d := range engineDesigns()[:2] {
+		cases = append(cases, hotPath{"EngineReset/" + d.name, engineReset(d.cfg)})
 	}
 	cases = append(cases, hotPath{"SecDirLookup", secDirLookup}, hotPath{"CuckooInsert", cuckooInsert})
 	for _, p := range policies {

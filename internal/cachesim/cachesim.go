@@ -5,6 +5,8 @@
 package cachesim
 
 import (
+	"math/bits"
+
 	"secdir/internal/addr"
 	"secdir/internal/rng"
 )
@@ -110,7 +112,12 @@ const invalidTag = ^addr.Line(0)
 // search additionally walks the dense tick array; the payload array is
 // touched for at most one way per operation. With interleaved per-way structs
 // a 16-way LRU fill read up to six host cache lines of metadata; the split
-// layout reads two lines of tags plus two of ticks.
+// layout reads two lines of tags plus two of ticks. Only LRU reads ticks, so
+// the other policies carry no tick array at all.
+//
+// A one-bit-per-set dirty bitmap records every set that has held a valid
+// line since the last Reset, so Reset clears only those sets instead of the
+// whole geometry.
 type Cache[P any] struct {
 	sets       int
 	ways       int
@@ -119,10 +126,11 @@ type Cache[P any] struct {
 	plruLevels int
 	rng        rng.Rand // used by Random only; a bare uint64, never heap-allocated
 	tags       []addr.Line
-	ticks      []uint64
+	ticks      []uint64 // LRU recency stamps (allocated for LRU only)
 	data       []P
 	rrpv       []uint8  // SRRIP re-reference values (allocated for SRRIP only)
 	plru       []uint64 // per-set PLRU tree bits
+	dirty      []uint64 // bit s set: set s has held a valid line since New/Reset
 	clock      uint64
 	count      int
 	gen        uint32 // bumped on every Put/PutAt/Remove; invalidates Cursors
@@ -145,11 +153,14 @@ func New[P any](sets, ways int, index Index, policy Policy, seed int64) *Cache[P
 		index:  index,
 		policy: policy,
 		tags:   make([]addr.Line, sets*ways),
-		ticks:  make([]uint64, sets*ways),
 		data:   make([]P, sets*ways),
+		dirty:  make([]uint64, (sets+63)/64),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
+	}
+	if policy == LRU {
+		c.ticks = make([]uint64, sets*ways)
 	}
 	if policy == Random {
 		c.rng = rng.New(seed)
@@ -208,9 +219,10 @@ func (c *Cache[P]) Access(l addr.Line) (*P, bool) {
 	t := c.tags[base : base+c.ways]
 	for i := range t {
 		if t[i] == l {
-			c.clock++
-			c.ticks[base+i] = c.clock
 			switch c.policy {
+			case LRU:
+				c.clock++
+				c.ticks[base+i] = c.clock
 			case SRRIP:
 				c.rrpv[base+i] = 0
 			case PLRU:
@@ -256,9 +268,10 @@ func (c *Cache[P]) AccessCursor(l addr.Line) (*P, int, Cursor) {
 	t := c.tags[base : base+c.ways]
 	for i := range t {
 		if t[i] == l {
-			c.clock++
-			c.ticks[base+i] = c.clock
 			switch c.policy {
+			case LRU:
+				c.clock++
+				c.ticks[base+i] = c.clock
 			case SRRIP:
 				c.rrpv[base+i] = 0
 			case PLRU:
@@ -305,6 +318,7 @@ func (c *Cache[P]) PutAt(cur Cursor, l addr.Line, data P) (Victim[P], bool) {
 		if inv >= 0 {
 			c.fillWay(set, base+inv, l, data)
 			c.count++
+			c.markDirty(set)
 			return Victim[P]{}, false
 		}
 		v := Victim[P]{Line: t[vi], Data: c.data[base+vi]}
@@ -321,6 +335,7 @@ func (c *Cache[P]) PutAt(cur Cursor, l addr.Line, data P) (Victim[P], bool) {
 	if inv >= 0 {
 		c.fillWay(set, base+inv, l, data)
 		c.count++
+		c.markDirty(set)
 		return Victim[P]{}, false
 	}
 	var vi int
@@ -414,6 +429,7 @@ func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 			tk[inv] = c.clock
 			c.data[base+inv] = data
 			c.count++
+			c.markDirty(set)
 			return Victim[P]{}, false
 		}
 		v := Victim[P]{Line: t[vi], Data: c.data[base+vi]}
@@ -426,7 +442,6 @@ func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 	for i := range t {
 		if t[i] == l {
 			c.data[base+i] = data
-			c.ticks[base+i] = c.clock
 			return Victim[P]{}, false
 		}
 		if t[i] == invalidTag && inv < 0 {
@@ -436,6 +451,7 @@ func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 	if inv >= 0 {
 		c.fillWay(set, base+inv, l, data)
 		c.count++
+		c.markDirty(set)
 		return Victim[P]{}, false
 	}
 	vi := 0
@@ -452,12 +468,21 @@ func (c *Cache[P]) Put(l addr.Line, data P) (Victim[P], bool) {
 	return v, true
 }
 
+// markDirty records that the set now holds a valid line, for Reset. Every
+// invalid→valid transition of a way goes through a c.count++ site, and each
+// of those calls markDirty; hits, victim replacements and removals only touch
+// sets that already held a valid line.
+func (c *Cache[P]) markDirty(set int) {
+	c.dirty[set>>6] |= 1 << uint(set&63)
+}
+
 // fillWay installs a line in way i (a flat index) of the given set.
 func (c *Cache[P]) fillWay(set, i int, l addr.Line, data P) {
 	c.tags[i] = l
-	c.ticks[i] = c.clock
 	c.data[i] = data
 	switch c.policy {
+	case LRU:
+		c.ticks[i] = c.clock
 	case SRRIP:
 		c.rrpv[i] = srripMax - 1
 	case PLRU:
@@ -485,26 +510,44 @@ func (c *Cache[P]) srripVictim(base int) int {
 // Reset restores the cache to the state New would produce with the given
 // seed, reusing every backing array: all ways invalid, replacement state and
 // the mutation clock zeroed, and the Random policy's generator reseeded.
-// Deterministic policies ignore the seed, exactly as New does. Any Cursor
-// taken before the Reset must be discarded.
+// Deterministic policies ignore the seed, exactly as New does. Only the sets
+// marked in the dirty bitmap are cleared — every other set is still in its
+// New state — so the cost is proportional to the sets used since the last
+// Reset, not to the cache's capacity. Any Cursor taken before the Reset must
+// be discarded.
 func (c *Cache[P]) Reset(seed int64) {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
+	for w, word := range c.dirty {
+		for word != 0 {
+			c.clearSet(w<<6 | bits.TrailingZeros64(word))
+			word &= word - 1
+		}
 	}
-	clear(c.ticks)
-	clear(c.data)
-	if c.rrpv != nil {
-		clear(c.rrpv)
-	}
-	if c.plru != nil {
-		clear(c.plru)
-	}
+	clear(c.dirty)
 	if c.policy == Random {
 		c.rng = rng.New(seed)
 	}
 	c.clock = 0
 	c.count = 0
 	c.gen = 0
+}
+
+// clearSet returns every way of the set, and its replacement state, to the
+// values New gives them.
+func (c *Cache[P]) clearSet(set int) {
+	lo, hi := set*c.ways, (set+1)*c.ways
+	for i := lo; i < hi; i++ {
+		c.tags[i] = invalidTag
+	}
+	clear(c.data[lo:hi])
+	if c.ticks != nil {
+		clear(c.ticks[lo:hi])
+	}
+	if c.rrpv != nil {
+		clear(c.rrpv[lo:hi])
+	}
+	if c.plru != nil {
+		c.plru[set] = 0
+	}
 }
 
 // Remove invalidates the line, returning its payload if it was present.
@@ -535,8 +578,10 @@ func (c *Cache[P]) RemoveSlot(i int) P {
 	var zp P
 	c.gen++
 	c.tags[i] = invalidTag
-	c.ticks[i] = 0
 	c.data[i] = zp
+	if c.ticks != nil {
+		c.ticks[i] = 0
+	}
 	if c.rrpv != nil {
 		c.rrpv[i] = 0
 	}

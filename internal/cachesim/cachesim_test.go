@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -194,37 +195,72 @@ func TestNoDuplicateTags(t *testing.T) {
 	}
 }
 
-// TestResetMatchesFresh: a Reset cache replays a workload exactly like a
-// freshly constructed one, for every replacement policy — same hits, same
-// victims, same RNG draw sequence.
+// resetOps are the ways a line can enter or leave a cache, each used alone
+// to warm a cache before a Reset so a fill site that fails to mark its set
+// dirty leaves state behind that the oracle sees.
+var resetOps = []struct {
+	name string
+	op   func(c *Cache[int], l addr.Line, i int)
+}{
+	{"Put", func(c *Cache[int], l addr.Line, i int) { c.Put(l, i) }},
+	{"PutAt", func(c *Cache[int], l addr.Line, i int) {
+		if _, slot, cur := c.AccessCursor(l); slot < 0 {
+			c.PutAt(cur, l, i)
+		}
+	}},
+	{"RemoveSlot", func(c *Cache[int], l addr.Line, i int) {
+		if _, slot := c.ProbeSlot(l); slot >= 0 && i%2 == 0 {
+			c.RemoveSlot(slot)
+			return
+		}
+		c.Put(l, i)
+	}},
+}
+
+// TestResetMatchesFresh: a Reset cache equals a freshly constructed one —
+// every internal array, the generator and the counters — and then replays a
+// workload exactly like it, for every replacement policy after Put,
+// cursor (PutAt) fills and RemoveSlot. The warm-up touches a few sets of a
+// cache wider than one bitmap word, so the O(sets dirtied) Reset must find
+// exactly the sets it used.
 func TestResetMatchesFresh(t *testing.T) {
+	const sets, ways = 128, 4
 	for _, policy := range []Policy{LRU, Random, SRRIP, PLRU} {
-		fresh := New[int](8, 4, ModIndex(8), policy, 321)
-		dirty := New[int](8, 4, ModIndex(8), policy, 77)
-		warm := rand.New(rand.NewSource(5))
-		for i := 0; i < 5000; i++ {
-			dirty.Put(addr.Line(warm.Intn(256)), i)
-		}
-		dirty.Reset(321)
-		if dirty.Len() != 0 || dirty.Gen() != fresh.Gen() {
-			t.Fatalf("policy %v: reset cache not empty (len=%d gen=%d)", policy, dirty.Len(), dirty.Gen())
-		}
-		rng := rand.New(rand.NewSource(6))
-		for i := 0; i < 20000; i++ {
-			l := addr.Line(rng.Intn(256))
-			if rng.Intn(3) == 0 {
-				_, aok := fresh.Access(l)
-				_, bok := dirty.Access(l)
-				if aok != bok {
-					t.Fatalf("policy %v op %d: access hit diverged", policy, i)
+		for _, ro := range resetOps {
+			fresh := New[int](sets, ways, ModIndex(sets), policy, 321)
+			dirty := New[int](sets, ways, ModIndex(sets), policy, 77)
+			warm := rand.New(rand.NewSource(5))
+			used := []int{3, 64, 65, 127}
+			for i := 0; i < 5000; i++ {
+				set := used[warm.Intn(len(used))]
+				l := addr.Line(set + sets*warm.Intn(3*ways))
+				if warm.Intn(4) == 0 {
+					dirty.Access(l)
+					continue
 				}
-				continue
+				ro.op(dirty, l, i)
 			}
-			av, ae := fresh.Put(l, i)
-			bv, be := dirty.Put(l, i)
-			if ae != be || av != bv {
-				t.Fatalf("policy %v op %d: victim diverged: fresh (%v,%v) reset (%v,%v)",
-					policy, i, av, ae, bv, be)
+			dirty.Reset(321)
+			if !reflect.DeepEqual(dirty, fresh) {
+				t.Fatalf("%v/%s: reset cache differs from New:\nreset %+v\nfresh %+v", policy, ro.name, *dirty, *fresh)
+			}
+			rng := rand.New(rand.NewSource(6))
+			for i := 0; i < 20000; i++ {
+				l := addr.Line(rng.Intn(4 * sets * ways))
+				if rng.Intn(3) == 0 {
+					_, aok := fresh.Access(l)
+					_, bok := dirty.Access(l)
+					if aok != bok {
+						t.Fatalf("%v/%s op %d: access hit diverged", policy, ro.name, i)
+					}
+					continue
+				}
+				av, ae := fresh.Put(l, i)
+				bv, be := dirty.Put(l, i)
+				if ae != be || av != bv {
+					t.Fatalf("%v/%s op %d: victim diverged: fresh (%v,%v) reset (%v,%v)",
+						policy, ro.name, i, av, ae, bv, be)
+				}
 			}
 		}
 	}

@@ -11,6 +11,8 @@
 package cuckoo
 
 import (
+	"math/bits"
+
 	"secdir/internal/addr"
 	"secdir/internal/hashfn"
 	"secdir/internal/metrics"
@@ -43,6 +45,12 @@ type Table struct {
 	// parallel, so the model must answer SetEmpty in O(1) too rather than
 	// scanning the ways on the hottest filter in the VD search path.
 	occ []uint16
+
+	// dirty has bit s set when set s has held a valid entry since New or the
+	// last Reset. Every entry enters the array through place, which marks
+	// it; relocations and conflict evictions only overwrite full sets. Reset
+	// clears just the marked sets.
+	dirty []uint64
 
 	// stash is a small fully-associative overflow buffer: entries that a
 	// failed relocation chain would evict are parked here instead (a
@@ -95,6 +103,7 @@ func New(cfg Config) *Table {
 		rng:         rng.New(cfg.Seed),
 		arr:         make([]entry, cfg.Sets*cfg.Ways),
 		occ:         make([]uint16, cfg.Sets),
+		dirty:       make([]uint64, (cfg.Sets+63)/64),
 	}
 	if t.stashCap > 0 {
 		// The stash is bounded by stashCap; allocating it up front keeps the
@@ -107,12 +116,20 @@ func New(cfg Config) *Table {
 // Reset restores the table to the state New would produce with the given
 // seed, reusing the entry, occupancy and stash storage: every entry and
 // Empty-Bit count zeroed, the conflict/relocation counters cleared, and the
-// relocation generator reseeded. The skew hash functions are seedless and
-// keep their construction-time tables; attached metric instruments
-// (DepthHist, EBChurn) stay attached.
+// relocation generator reseeded. Only the sets marked dirty are cleared, so
+// the cost follows the sets used since the last Reset, not the capacity. The
+// skew hash functions are seedless and keep their construction-time tables;
+// attached metric instruments (DepthHist, EBChurn) stay attached.
 func (t *Table) Reset(seed int64) {
-	clear(t.arr)
-	clear(t.occ)
+	for w, word := range t.dirty {
+		for word != 0 {
+			set := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			clear(t.set(set))
+			t.occ[set] = 0
+		}
+	}
+	clear(t.dirty)
 	t.stash = t.stash[:0]
 	t.count = 0
 	t.rng = rng.New(seed)
@@ -143,6 +160,7 @@ func (t *Table) place(set, w int, e entry) {
 		t.EBChurn.Inc()
 	}
 	t.occ[set]++
+	t.dirty[set>>6] |= 1 << uint(set&63)
 	t.set(set)[w] = e
 	t.count++
 }

@@ -2,6 +2,7 @@ package cuckoo
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,5 +226,51 @@ func TestPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
+	}
+}
+
+// TestResetMatchesFresh: a Reset table equals a freshly constructed one —
+// entries, Empty-Bit counts, dirty-set bitmap, stash, generator and counters
+// — after warm-ups that range from a few inserts to relocation chains and a
+// non-empty stash, and then replays an insert/remove workload exactly like
+// it.
+func TestResetMatchesFresh(t *testing.T) {
+	cfg := Config{Sets: 128, Ways: 2, NumRelocations: 4, Cuckoo: true, StashSize: 4, Seed: 9}
+	for _, warmLines := range []int{5, 40, 400} {
+		dirtyCfg := cfg
+		dirtyCfg.Seed = 3
+		tb := New(dirtyCfg)
+		warm := rand.New(rand.NewSource(int64(warmLines)))
+		for i := 0; i < warmLines; i++ {
+			l := addr.Line(warm.Intn(1 << 16))
+			if i%7 == 6 {
+				tb.Remove(l)
+				continue
+			}
+			tb.Insert(l)
+		}
+		if warmLines == 400 && (tb.Relocated == 0 || tb.StashLen() == 0) {
+			t.Fatalf("warm-up too weak: %d relocations, stash %d", tb.Relocated, tb.StashLen())
+		}
+		tb.Reset(cfg.Seed)
+		fresh := New(cfg)
+		if !reflect.DeepEqual(tb, fresh) {
+			t.Fatalf("%d warm lines: reset table differs from New", warmLines)
+		}
+		r := rand.New(rand.NewSource(11))
+		for i := 0; i < 2000; i++ {
+			l := addr.Line(r.Intn(1 << 10))
+			if r.Intn(4) == 0 {
+				if a, b := fresh.Remove(l), tb.Remove(l); a != b {
+					t.Fatalf("%d warm lines, op %d: Remove diverged", warmLines, i)
+				}
+				continue
+			}
+			av, ae := fresh.Insert(l)
+			bv, be := tb.Insert(l)
+			if av != bv || ae != be {
+				t.Fatalf("%d warm lines, op %d: Insert diverged: fresh (%v,%v) reset (%v,%v)", warmLines, i, av, ae, bv, be)
+			}
+		}
 	}
 }

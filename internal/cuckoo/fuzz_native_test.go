@@ -1,25 +1,30 @@
 package cuckoo
 
 import (
+	"reflect"
 	"testing"
 
 	"secdir/internal/addr"
 )
 
 // FuzzTableOps is a native fuzz target over raw operation bytes: byte 2k
-// selects insert/remove/contains for the line in byte 2k+1. Run with
+// selects insert/remove/contains/reset for the line in byte 2k+1. A reset
+// (reseeded from the line byte) must leave the table identical to a freshly
+// built one. Run with
 // `go test -fuzz FuzzTableOps ./internal/cuckoo` for open-ended exploration;
 // under plain `go test` the seed corpus below acts as a regression test.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{0, 10, 0, 10, 1, 10})
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 1, 1, 2, 2})
+	f.Add([]byte{0, 1, 0, 9, 0, 17, 0, 25, 0, 33, 0, 41, 3, 5, 0, 1, 2, 1, 0, 9, 3, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		tb := New(Config{Sets: 4, Ways: 2, NumRelocations: 3, Cuckoo: true, StashSize: 1, Seed: 1})
+		cfg := Config{Sets: 4, Ways: 2, NumRelocations: 3, Cuckoo: true, StashSize: 1, Seed: 1}
+		tb := New(cfg)
 		resident := map[addr.Line]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
 			l := addr.Line(ops[i+1] % 64)
-			switch ops[i] % 3 {
+			switch ops[i] % 4 {
 			case 0:
 				v, ev := tb.Insert(l)
 				if ev {
@@ -42,6 +47,13 @@ func FuzzTableOps(f *testing.F) {
 				if got := tb.Contains(l); got != resident[l] {
 					t.Fatalf("Contains(%#x) = %v, tracker %v", uint64(l), got, resident[l])
 				}
+			case 3:
+				cfg.Seed = int64(ops[i+1])
+				tb.Reset(cfg.Seed)
+				if !reflect.DeepEqual(tb, New(cfg)) {
+					t.Fatalf("op %d: Reset(%d) differs from a fresh table", i/2, cfg.Seed)
+				}
+				clear(resident)
 			}
 			if tb.Len() != len(resident) {
 				t.Fatalf("Len %d != tracker %d", tb.Len(), len(resident))

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -235,6 +236,8 @@ func (j *Job) finishLocked(state JobState, result any, err error, now time.Time)
 		e.Err = err.Error()
 	}
 	j.emitLocked(e)
+	j.events = compactEvents(j.events)
+	j.last = &j.events[len(j.events)-1]
 	// Terminal: wake the streamers and drop them.
 	for ch := range j.subs {
 		close(ch)
@@ -252,9 +255,30 @@ func (j *Job) progress(stage string, done, total int) {
 	j.emitLocked(Event{State: j.state, Stage: stage, Done: done, Total: total})
 }
 
+// compactEvents keeps the last event of each stage, in sequence order — for
+// a finished job: start, one event per stage (a leak job's grid cell, an
+// experiment) and finish. A long job's per-trial progress would otherwise
+// stay in memory for as long as the server keeps the job. The result is a
+// new, exactly sized slice, so the old backing array is released.
+func compactEvents(events []Event) []Event {
+	lastOf := make(map[string]int, 8)
+	for i, e := range events {
+		lastOf[e.Stage] = i
+	}
+	out := make([]Event, 0, len(lastOf))
+	for i, e := range events {
+		if lastOf[e.Stage] == i {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // emitLocked stamps and stores an event and delivers it to subscribers
-// without blocking (a slow stream reader misses intermediate events but
-// always gets the latest on its next receive).
+// without blocking: when a slow stream reader's buffer is full the event is
+// dropped from its channel, never stalling the worker. The reader recovers
+// what it missed, the terminal event included, from EventsAfter once the
+// channel closes.
 func (j *Job) emitLocked(e Event) {
 	j.seq++
 	e.JobID = j.ID
@@ -269,6 +293,15 @@ func (j *Job) emitLocked(e Event) {
 	}
 }
 
+// EventsAfter returns the retained events numbered after seq. Once the job
+// is terminal they end with its terminal event.
+func (j *Job) EventsAfter(seq int) []Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq > seq })
+	return append([]Event(nil), j.events[i:]...)
+}
+
 // Subscribe returns the events emitted so far plus a channel delivering
 // subsequent ones; the channel is closed when the job reaches a terminal
 // state. Call the returned cancel function when done reading.
@@ -281,8 +314,8 @@ func (j *Job) Subscribe() (history []Event, ch chan Event, unsub func()) {
 		close(ch)
 		return history, ch, func() {}
 	}
-	// Buffered so emitLocked's non-blocking send usually lands; the stream
-	// handler drains promptly.
+	// Buffered so emitLocked's non-blocking send usually lands; events it
+	// drops are recovered through EventsAfter.
 	ch = make(chan Event, 16)
 	j.subs[ch] = struct{}{}
 	return history, ch, func() {

@@ -432,24 +432,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	emit := func(e Event) bool {
-		if err := enc.Encode(e); err != nil {
-			return false
+	lastSeq := 0
+	emit := func(events ...Event) bool {
+		for _, e := range events {
+			if err := enc.Encode(e); err != nil {
+				return false
+			}
+			lastSeq = e.Seq
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return true
 	}
-	for _, e := range history {
-		if !emit(e) {
-			return
-		}
+	if !emit(history...) {
+		return
 	}
 	for {
 		select {
 		case e, ok := <-ch:
 			if !ok {
+				// Terminal. Replay whatever the non-blocking fan-out
+				// dropped while this reader lagged, so the stream always
+				// ends with the terminal event.
+				emit(job.EventsAfter(lastSeq)...)
 				return
 			}
 			if !emit(e) {

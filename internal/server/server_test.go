@@ -351,6 +351,127 @@ func TestStreamNDJSON(t *testing.T) {
 	}
 }
 
+// stallWriter is a ResponseWriter whose first Write blocks until release is
+// closed: a stream reader that has stopped reading.
+type stallWriter struct {
+	header  http.Header
+	buf     bytes.Buffer
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (w *stallWriter) Header() http.Header { return w.header }
+func (w *stallWriter) WriteHeader(int)     {}
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return w.buf.Write(p)
+}
+
+// decodeEvents parses an NDJSON event stream and checks that every event
+// belongs to the job and that Seq increases.
+func decodeEvents(t *testing.T, id string, body []byte) []Event {
+	t.Helper()
+	var events []Event
+	sc := bufio.NewScanner(bytes.NewReader(body))
+	for sc.Scan() {
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if e.JobID != id {
+			t.Fatalf("event %+v has the wrong job id, want %q", e, id)
+		}
+		if n := len(events); n > 0 && e.Seq <= events[n-1].Seq {
+			t.Fatalf("event sequence not increasing: %d then %d", events[n-1].Seq, e.Seq)
+		}
+		events = append(events, e)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// TestStreamStalledReaderGetsTerminalEvent: a stream reader that stalls
+// while its job emits more progress events than its channel buffers, and
+// then finishes, still sees the stream end with the terminal event — the
+// events the non-blocking fan-out dropped are replayed from the job.
+func TestStreamStalledReaderGetsTerminalEvent(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	job := newJob("stall", JobSpec{Kind: KindLeak}, ctx, cancel, time.Now())
+	s.srv.mu.Lock()
+	s.srv.jobs[job.ID] = job
+	s.srv.mu.Unlock()
+	job.start(time.Now())
+
+	w := &stallWriter{header: http.Header{}, entered: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/jobs/stall/stream", nil))
+	}()
+	<-w.entered // subscribed, and blocked writing the start event
+	const trials = 40
+	for i := 1; i <= trials; i++ {
+		job.progress("secdir/primeprobe", i, trials)
+	}
+	job.finish(StateDone, nil, nil, time.Now())
+	close(w.release)
+	<-served
+
+	events := decodeEvents(t, job.ID, w.buf.Bytes())
+	last := events[len(events)-1]
+	if last.Stage != "finish" || last.State != StateDone || last.Done != trials {
+		t.Fatalf("stalled stream ended with %+v after %d events, want the finish event", last, len(events))
+	}
+}
+
+// TestStreamLateSubscriberCompactedHistory: a finished job keeps only the
+// last event of each stage, so a subscriber arriving after the end of a leak
+// job reads start, one event per grid cell and finish, still in increasing
+// Seq.
+func TestStreamLateSubscriberCompactedHistory(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	st := s.submit(t, JobSpec{
+		Kind:       KindLeak,
+		Configs:    []string{"skylake-unfixed", "secdir"},
+		Strategies: []string{"evictreload"},
+		Trials:     12,
+		Rounds:     8,
+	}, 0)
+	s.waitState(t, st.ID, StateDone, 60*time.Second)
+
+	resp, err := http.Get(s.ts.URL + "/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	events := decodeEvents(t, st.ID, body.Bytes())
+	var stages []string
+	for _, e := range events {
+		stages = append(stages, e.Stage)
+	}
+	want := []string{"start", "skylake-unfixed/evictreload", "secdir/evictreload", "finish"}
+	if strings.Join(stages, ",") != strings.Join(want, ",") {
+		t.Fatalf("late subscriber's stages %v, want %v", stages, want)
+	}
+	if e := events[2]; e.Done != 24 || e.Total != 24 {
+		t.Fatalf("last cell event %+v, want done=total=24", e)
+	}
+	if e := events[3]; e.State != StateDone || e.Done != 24 {
+		t.Fatalf("finish event %+v", e)
+	}
+}
+
 // TestGracefulDrain: draining lets a started job finish, then refuses new
 // submissions with 503.
 func TestGracefulDrain(t *testing.T) {
