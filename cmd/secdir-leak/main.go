@@ -43,7 +43,7 @@ func main() {
 	workers := flag.Int("workers", 0, "trial-runner goroutines (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "master seed pinning trials, schedules and bootstraps")
 	confidence := flag.Float64("confidence", 0.99, "bootstrap confidence level for the AUC interval")
-	resamples := flag.Int("resamples", 400, "bootstrap replicates per interval")
+	resamples := flag.Int("resamples", 400, fmt.Sprintf("bootstrap replicates per interval (at most %d)", leakage.MaxResamples))
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of a table")
 	leaderboard := flag.Bool("leaderboard", false, "race the cross-defense leaderboard (baseline, secdir and the rival designs) with performance and cost columns")
 	fleetURL := flag.String("fleet", "", "secdir-serve coordinator base URL: run the sweep on its worker fleet instead of locally")
@@ -51,6 +51,10 @@ func main() {
 	mflags := metrics.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
+	if *resamples < 0 || *resamples > leakage.MaxResamples {
+		fmt.Fprintf(os.Stderr, "-resamples must be in [0, %d], got %d\n", leakage.MaxResamples, *resamples)
+		os.Exit(2)
+	}
 	if err := mflags.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

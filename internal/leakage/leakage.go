@@ -27,6 +27,12 @@ const TVLAThreshold = 4.5
 // finite sentinel far beyond any threshold instead.
 const tCap = 1e6
 
+// MaxResamples caps Options.Resamples at admission (secdir-serve job specs,
+// secdir-leak -resamples): 250 times the default. The bootstrap holds one
+// float64 per replicate and draws len(active)+len(idle) observations for
+// each, so an unbounded count lets one request exhaust a worker's memory.
+const MaxResamples = 100_000
+
 // capacityBins is the histogram width of the plug-in mutual-information
 // estimate. 16 cells keep the estimator's O((bins-1)/N) bias below ~0.1 bit
 // at the default trial counts while still resolving multi-modal observables.
@@ -56,7 +62,8 @@ type Options struct {
 	Seed int64
 	// Confidence is the bootstrap interval level (default 0.99).
 	Confidence float64
-	// Resamples is the bootstrap replicate count (default 400).
+	// Resamples is the bootstrap replicate count (default 400; callers
+	// taking it from users cap it at MaxResamples).
 	Resamples int
 	// Metrics receives leakage counters/histograms; nil is a no-op registry.
 	Metrics *metrics.Registry
@@ -205,10 +212,7 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 	// Balanced random schedule: exactly Rounds/2 active rounds in a seeded
 	// Fisher-Yates order, so ordering effects (warm-up, replacement drift)
 	// cannot masquerade as victim activity.
-	sched := make([]bool, o.Rounds)
-	for i := 0; i < o.Rounds/2; i++ {
-		sched[i] = true
-	}
+	sched := te.schedule(o.Rounds)
 	sr := rng.New(seed ^ 0x5eed)
 	for i := len(sched) - 1; i > 0; i-- {
 		j := sr.Intn(i + 1)
@@ -246,9 +250,23 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 // trial seed. Engine.Reset is pinned bit-identical to fresh construction by
 // the coherence oracle tests, so pooling cannot perturb verdicts or break the
 // worker-count invariance the fleet's lossless merges rely on — it only
-// removes the per-trial allocation of caches and directories.
+// removes the per-trial allocation of caches and directories. The round
+// schedule buffer is pooled alongside it.
 type trialEngine struct {
-	eng *coherence.Engine
+	eng   *coherence.Engine
+	sched []bool
+}
+
+// schedule returns the pooled schedule buffer sized to rounds, reset to its
+// unshuffled state: the first rounds/2 entries victim-active, the rest idle.
+func (te *trialEngine) schedule(rounds int) []bool {
+	if len(te.sched) != rounds {
+		te.sched = make([]bool, rounds)
+	}
+	for i := range te.sched {
+		te.sched[i] = i < rounds/2
+	}
+	return te.sched
 }
 
 // engine returns the pooled machine reset for the trial seed, building it on
@@ -268,8 +286,8 @@ func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) 
 	return e, nil
 }
 
-// close drops the pooled engine.
-func (te *trialEngine) close() { te.eng = nil }
+// close drops the pooled engine and schedule buffer.
+func (te *trialEngine) close() { te.eng, te.sched = nil, nil }
 
 // mean returns the arithmetic mean of x (0 for an empty slice).
 func mean(x []float64) float64 {
@@ -293,7 +311,7 @@ func verdict(o Options, active, idle []float64, accesses uint64) Verdict {
 		t = -tCap
 	}
 	auc := stats.AUC(active, idle)
-	lo, hi := stats.BootstrapCI2(active, idle, stats.AUC, o.Resamples, o.Confidence, o.Seed+1)
+	lo, hi := stats.BootstrapAUC(active, idle, o.Resamples, o.Confidence, o.Seed+1)
 	return Verdict{
 		Config:       o.ConfigName,
 		Strategy:     o.Strategy.Name(),

@@ -822,3 +822,26 @@ func TestSubmitRefusesRetiredEngineOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRefusesOversizedResamples: the bootstrap allocates one float64
+// per replicate up front, so a resamples count above leakage.MaxResamples is
+// refused at admission with a 400 naming the field; the cap itself is
+// accepted.
+func TestSubmitRefusesOversizedResamples(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	body := `{"kind":"leak","resamples":2000000000}`
+	resp, err := http.Post(s.ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e apiError
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "resamples") {
+		t.Errorf("resamples 2e9: HTTP %d %q, want 400 naming the field", resp.StatusCode, e.Error)
+	}
+	spec := JobSpec{Kind: KindLeak, Resamples: leakage.MaxResamples}
+	if err := spec.Normalize(); err != nil {
+		t.Errorf("resamples at the cap refused: %v", err)
+	}
+}

@@ -89,7 +89,7 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 
 	// Confidence and Resamples (KindLeak) shape the AUC bootstrap
-	// (defaults 0.99 / 400).
+	// (defaults 0.99 / 400; resamples is capped at leakage.MaxResamples).
 	Confidence float64 `json:"confidence,omitempty"`
 	Resamples  int     `json:"resamples,omitempty"`
 	// PerfAccesses (KindLeaderboard) sizes the deterministic latency probe
@@ -198,6 +198,9 @@ func (s *JobSpec) Normalize() error {
 		}
 		if s.Resamples < 0 || s.PerfAccesses < 0 {
 			return fmt.Errorf("resamples and perf_accesses must be >= 0, got %d/%d", s.Resamples, s.PerfAccesses)
+		}
+		if s.Resamples > leakage.MaxResamples {
+			return fmt.Errorf("resamples must be <= %d, got %d", leakage.MaxResamples, s.Resamples)
 		}
 	default:
 		return fmt.Errorf("unknown job kind %q (want experiment, attack, replay, leak, or leaderboard)", s.Kind)

@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"secdir/internal/rng"
 )
@@ -10,7 +11,7 @@ import (
 // This file holds the inferential statistics the leakage lab builds its
 // verdicts on: Welch's unequal-variance t-test (the TVLA workhorse), a
 // plug-in mutual-information estimate (channel capacity in bits), the
-// rank-based ROC AUC, and seeded percentile-bootstrap confidence intervals.
+// rank-based ROC AUC, and its seeded percentile-bootstrap confidence interval.
 // Everything is deterministic: the bootstrap draws from the repo's splitmix64
 // generator, so a fixed seed pins every interval bit-for-bit.
 
@@ -140,92 +141,107 @@ func MutualInformation(a, b []float64, bins int) float64 {
 // ranks above a random negative one, with ties counted half (the Mann-Whitney
 // U statistic normalized by len(pos)*len(neg)). 0.5 is an uninformative
 // distinguisher; 1.0 (or 0.0, for an inverted observable) is a perfect one.
-// Computed by rank-sum in O(n log n), so bootstrap resampling stays cheap.
+// Computed by rank sum over tie groups: one O(n log n) sort, then O(n).
 func AUC(pos, neg []float64) float64 {
-	np, nn := len(pos), len(neg)
-	if np == 0 || nn == 0 {
+	if len(pos) == 0 || len(neg) == 0 {
 		return 0.5
 	}
-	type obs struct {
-		v   float64
-		pos bool
+	groups, ng := tieGroups(pos, neg)
+	cntP := make([]int, ng)
+	cntN := make([]int, ng)
+	for _, g := range groups[:len(pos)] {
+		cntP[g]++
 	}
-	all := make([]obs, 0, np+nn)
-	for _, v := range pos {
-		all = append(all, obs{v, true})
+	for _, g := range groups[len(pos):] {
+		cntN[g]++
 	}
-	for _, v := range neg {
-		all = append(all, obs{v, false})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	// Sum the positives' average ranks, handling tie groups in one pass.
-	var rankSum float64
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		avgRank := float64(i+j+1) / 2 // mean of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			if all[k].pos {
-				rankSum += avgRank
-			}
-		}
-		i = j
-	}
-	u := rankSum - float64(np)*float64(np+1)/2
-	return u / (float64(np) * float64(nn))
+	return rankAUC(cntP, cntN, len(pos), len(neg))
 }
 
-// BootstrapCI returns the percentile-bootstrap confidence interval of
-// stat(x) at the given confidence level (e.g. 0.99): resamples bootstrap
-// replicates of x (with replacement, seeded — deterministic for a fixed
-// seed), evaluates stat on each, and returns the (1-conf)/2 and 1-(1-conf)/2
-// empirical quantiles.
-func BootstrapCI(x []float64, stat func([]float64) float64, resamples int, conf float64, seed int64) (lo, hi float64) {
-	if len(x) == 0 || resamples < 1 {
-		return 0, 0
-	}
-	r := rng.New(seed)
-	buf := make([]float64, len(x))
-	vals := make([]float64, resamples)
-	for i := range vals {
-		resample(&r, x, buf)
-		vals[i] = stat(buf)
-	}
-	return percentileInterval(vals, conf)
-}
-
-// BootstrapCI2 is the two-sample variant for statistics over a pair of
-// groups (the leakage lab's AUC over victim-active vs. victim-idle samples):
-// each replicate resamples both groups independently.
-func BootstrapCI2(a, b []float64, stat func(a, b []float64) float64, resamples int, conf float64, seed int64) (lo, hi float64) {
+// BootstrapAUC returns the percentile-bootstrap confidence interval of
+// AUC(a, b) at the given confidence level (e.g. 0.99): resamples replicates,
+// each drawing len(a) observations from a and then len(b) from b with
+// replacement from rng.New(seed), and the (1-conf)/2 and 1-(1-conf)/2
+// empirical quantiles of the replicate AUCs.
+//
+// The pooled sample is sorted once. A draw only bumps its observation's tie
+// group count, and a replicate's rank sum is one pass over the groups, so a
+// replicate costs O(len(a)+len(b)+groups) and allocates nothing. Every
+// replicate equals AUC of the resampled slices bit for bit: see rankAUC.
+func BootstrapAUC(a, b []float64, resamples int, conf float64, seed int64) (lo, hi float64) {
 	if len(a) == 0 || len(b) == 0 || resamples < 1 {
 		return 0, 0
 	}
+	groups, ng := tieGroups(a, b)
+	ga, gb := groups[:len(a)], groups[len(a):]
+	cntA := make([]int, ng)
+	cntB := make([]int, ng)
 	r := rng.New(seed)
-	bufA := make([]float64, len(a))
-	bufB := make([]float64, len(b))
 	vals := make([]float64, resamples)
 	for i := range vals {
-		resample(&r, a, bufA)
-		resample(&r, b, bufB)
-		vals[i] = stat(bufA, bufB)
+		clear(cntA)
+		clear(cntB)
+		for range ga {
+			cntA[ga[r.Intn(len(ga))]]++
+		}
+		for range gb {
+			cntB[gb[r.Intn(len(gb))]]++
+		}
+		vals[i] = rankAUC(cntA, cntB, len(a), len(b))
 	}
 	return percentileInterval(vals, conf)
 }
 
-// resample fills buf with len(src) draws from src with replacement.
-func resample(r *rng.Rand, src, buf []float64) {
-	for i := range buf {
-		buf[i] = src[r.Intn(len(src))]
+// tieGroups sorts a ∪ b once and returns, for each observation (a's first,
+// then b's), the index of its tie group in ascending value order, plus the
+// number of groups. Values that compare equal (+0 and -0 included) share a
+// group.
+func tieGroups(a, b []float64) (groups []int, ng int) {
+	type obs struct {
+		v float64
+		i int
 	}
+	all := make([]obs, 0, len(a)+len(b))
+	for i, v := range a {
+		all = append(all, obs{v, i})
+	}
+	for i, v := range b {
+		all = append(all, obs{v, len(a) + i})
+	}
+	slices.SortFunc(all, func(x, y obs) int { return cmp.Compare(x.v, y.v) })
+	groups = make([]int, len(all))
+	for k, o := range all {
+		if k > 0 && o.v != all[k-1].v {
+			ng++
+		}
+		groups[o.i] = ng
+	}
+	return groups, ng + 1
+}
+
+// rankAUC returns the AUC of na positives against nb negatives whose tie
+// group g (ascending value order) holds cntP[g] positives and cntN[g]
+// negatives. A group of s observations after pos earlier ones spans 1-based
+// ranks pos+1..pos+s, so each of its positives has average rank
+// (2·pos+s+1)/2. Ranks are half-integers and every partial rank sum stays
+// below (na+nb)², so for pooled sizes under 2^25 each sum is exact and the
+// result equals that of adding the positives' average ranks one at a time.
+func rankAUC(cntP, cntN []int, na, nb int) float64 {
+	var rankSum float64
+	pos := 0
+	for g, cp := range cntP {
+		s := cp + cntN[g]
+		rankSum += float64(cp) * (float64(2*pos+s+1) / 2)
+		pos += s
+	}
+	u := rankSum - float64(na)*float64(na+1)/2
+	return u / (float64(na) * float64(nb))
 }
 
 // percentileInterval returns the symmetric conf-level percentile interval of
 // vals (which it sorts in place).
 func percentileInterval(vals []float64, conf float64) (lo, hi float64) {
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	alpha := (1 - conf) / 2
 	return quantileSorted(vals, alpha), quantileSorted(vals, 1-alpha)
 }
