@@ -232,8 +232,8 @@ func TestHotPathAllocFree(t *testing.T) {
 	for _, d := range engineDesigns() {
 		cases = append(cases, hotPath{"EngineAccess/" + d.name, engineAccess(d.cfg)})
 	}
-	// Only the SecDir and Baseline slices reset in place; the rival designs
-	// rebuild their slice objects on Reset by design.
+	// Only the SecDir and Baseline slices reset in place; Reset drops the
+	// rival designs' slice objects, to be rebuilt on first use, by design.
 	for _, d := range engineDesigns()[:2] {
 		cases = append(cases, hotPath{"EngineReset/" + d.name, engineReset(d.cfg)})
 	}

@@ -99,7 +99,9 @@ type Engine struct {
 	mapper addr.Mapper
 	l1     []*cachesim.Cache[struct{}]
 	l2     []*cachesim.Cache[l2Line]
-	slices []directory.Slice
+	// slices[s] is nil until slice s is first used; newSlice builds it.
+	slices   []directory.Slice
+	newSlice func(seed int64) directory.Slice
 
 	// secSlices/baseSlices alias slices with their concrete types when the
 	// configuration uses SecDir or Baseline directories (nil otherwise). The
@@ -122,15 +124,22 @@ type Engine struct {
 }
 
 // NewEngine builds a machine from the configuration. The directory kind
-// selects baseline or SecDir slices.
+// selects baseline or SecDir slices. The per-core private caches are built
+// here; each directory slice is built on its first use (see Slice), so a
+// trial that touches one slice pays for one. NewEngine still rejects every
+// configuration whose slices cannot be built.
 func NewEngine(cfg config.Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := addr.NewMapper(cfg.Cores, cfg.TDSets)
+	newSlice, err := sliceBuilder(cfg)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:          cfg,
-		mapper:       m,
+		mapper:       addr.NewMapper(cfg.Cores, cfg.TDSets),
+		newSlice:     newSlice,
 		l1:           make([]*cachesim.Cache[struct{}], cfg.Cores),
 		l2:           make([]*cachesim.Cache[l2Line], cfg.Cores),
 		slices:       make([]directory.Slice, cfg.Cores),
@@ -143,35 +152,38 @@ func NewEngine(cfg config.Config) (*Engine, error) {
 		e.l1[c] = cachesim.New[struct{}](cfg.L1Sets, cfg.L1Ways, cachesim.ModIndex(cfg.L1Sets), cachesim.LRU, cfg.Seed+int64(c)*31)
 		e.l2[c] = cachesim.New[l2Line](cfg.L2Sets, cfg.L2Ways, cachesim.ModIndex(cfg.L2Sets), cfg.L2Policy, cfg.Seed+int64(c)*37)
 	}
-	// Identical to closing over m.Set, but expressed as data so directory
-	// probes stay on the cachesim shift-and-mask fast path.
-	index := cachesim.ShiftIndex(addr.SetShift, cfg.TDSets)
-	for s := 0; s < cfg.Cores; s++ {
-		sl, err := buildSlice(cfg, index, s)
-		if err != nil {
-			return nil, err
-		}
-		e.installSlice(s, sl)
-	}
 	return e, nil
 }
 
-// buildSlice constructs directory slice s for the configuration. Engine.Reset
-// rebuilds the rival kinds through the same path NewEngine constructs them,
-// so a reset engine and a fresh engine start bit-identical.
-func buildSlice(cfg config.Config, index cachesim.Index, s int) (directory.Slice, error) {
-	seed := cfg.Seed + int64(s)*101
+// sliceSeed is the seed of directory slice s. Each slice is seeded on its
+// own, so building slices in any order, or never building an untouched one,
+// cannot change what the others do.
+func sliceSeed(seed int64, s int) int64 { return seed + int64(s)*101 }
+
+// sliceBuilder validates the configuration's directory parameters and
+// returns the constructor of one slice from its seed. Every slice of a
+// machine shares the parameters, so once the builder exists no build can
+// fail. Engine.Reset drops the rival kinds and Slice rebuilds them through
+// the same constructor, so a reset engine and a fresh engine stay
+// bit-identical.
+func sliceBuilder(cfg config.Config) (func(seed int64) directory.Slice, error) {
+	// Identical to closing over the mapper's Set, but expressed as data so
+	// directory probes stay on the cachesim shift-and-mask fast path.
+	index := cachesim.ShiftIndex(addr.SetShift, cfg.TDSets)
 	switch cfg.Kind {
 	case config.Baseline:
-		return directory.NewBaseline(directory.BaselineParams{
+		p := directory.BaselineParams{
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
 			Index:        index,
 			AppendixAFix: cfg.AppendixAFix,
-			Seed:         seed,
-		}), nil
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return directory.NewBaseline(p)
+		}, nil
 	case config.SecDir:
-		return core.New(core.Params{
+		p := core.Params{
 			Cores:  cfg.Cores,
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
@@ -184,57 +196,86 @@ func buildSlice(cfg config.Config, index cachesim.Index, s int) (directory.Slice
 			StashSize:      cfg.VDStash,
 			Index:          index,
 			AppendixAFix:   cfg.AppendixAFix,
-			Seed:           seed,
-		}), nil
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return core.New(p)
+		}, nil
 	case config.RandMapped:
-		return directory.NewRandMapped(directory.RandMapParams{
+		p := directory.RandMapParams{
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
 			RekeyEvery: cfg.RekeyEvery,
-			Seed:       seed,
-		}), nil
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return directory.NewRandMapped(p)
+		}, nil
 	case config.WayPartitioned:
-		return directory.NewWayPartitioned(directory.WayPartParams{
+		p := directory.WayPartParams{
 			Cores:  cfg.Cores,
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
 			Index: index,
-			Seed:  seed,
-		})
+		}
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return must(directory.NewWayPartitioned(p))
+		}, nil
 	case config.SkewedDir:
-		return directory.NewSkewed(directory.SkewedParams{
-			Sets: cfg.TDSets, Ways: cfg.TDWays + cfg.EDWays,
-			Seed: seed,
-		}), nil
+		p := directory.SkewedParams{Sets: cfg.TDSets, Ways: cfg.TDWays + cfg.EDWays}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return directory.NewSkewed(p)
+		}, nil
 	case config.DLS:
-		return directory.NewDLS(directory.DLSParams{
-			Sets: cfg.TDSets, Ways: cfg.TDWays + cfg.EDWays,
-			Index: index,
-			Seed:  seed,
-		}), nil
+		p := directory.DLSParams{Sets: cfg.TDSets, Ways: cfg.TDWays + cfg.EDWays, Index: index}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return directory.NewDLS(p)
+		}, nil
 	case config.TagPartitioned:
-		return directory.NewTagPartitioned(directory.TagPartParams{
+		// Its only error, a non-positive core count, cfg.Validate rejects.
+		p := directory.TagPartParams{
 			Cores: cfg.Cores,
 			Sets:  cfg.TDSets, Ways: cfg.TDWays + cfg.EDWays,
 			Index: index,
-			Seed:  seed,
-		})
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return must(directory.NewTagPartitioned(p))
+		}, nil
 	case config.Ceaser:
-		return directory.NewCeaser(directory.CeaserParams{
+		p := directory.CeaserParams{
 			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
 			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
 			RekeyEvery: cfg.RekeyEvery,
 			RemapStep:  cfg.RemapStep,
-			Seed:       seed,
-		}), nil
+		}
+		return func(seed int64) directory.Slice {
+			p.Seed = seed
+			return directory.NewCeaser(p)
+		}, nil
 	default:
 		return nil, fmt.Errorf("coherence: unknown directory kind %v", cfg.Kind)
 	}
 }
 
+// must unwraps a constructor whose parameters sliceBuilder already
+// validated.
+func must[S directory.Slice](sl S, err error) directory.Slice {
+	if err != nil {
+		panic(fmt.Sprintf("coherence: validated slice failed to build: %v", err))
+	}
+	return sl
+}
+
 // installSlice wires a slice into position s, resolving the monomorphic
 // aliases and the housekeeper assertion once so none of them sit on a hot
-// path.
+// path. A nil slice marks position s unbuilt.
 func (e *Engine) installSlice(s int, sl directory.Slice) {
 	e.slices[s] = sl
 	e.secSlices[s], _ = sl.(*core.Slice)
@@ -243,33 +284,28 @@ func (e *Engine) installSlice(s int, sl directory.Slice) {
 }
 
 // Reset restores the engine to the state NewEngine(cfg.WithSeed(seed)) would
-// produce, reusing the private-cache and directory storage. The SecDir and
-// Baseline kinds — the ones every leakage sweep hammers — reset their slices
-// in place; the rival kinds rebuild their (much smaller) slice objects but
-// still keep the per-core cache arrays. Attached metrics and event logs stay
-// attached with their counters untouched.
+// produce, reusing the private-cache and directory storage. Built SecDir and
+// Baseline slices — the kinds every leakage sweep hammers — reset in place;
+// built rival-kind slices are dropped and rebuilt on first use; unbuilt
+// slices stay unbuilt. Attached metrics and event logs stay attached with
+// their counters untouched. Since no slice is built here, Reset cannot fail:
+// the error result is always nil.
 func (e *Engine) Reset(seed int64) error {
 	e.cfg = e.cfg.WithSeed(seed)
 	for c := 0; c < e.cfg.Cores; c++ {
 		e.l1[c].Reset(e.cfg.Seed + int64(c)*31)
 		e.l2[c].Reset(e.cfg.Seed + int64(c)*37)
 	}
-	index := cachesim.ShiftIndex(addr.SetShift, e.cfg.TDSets)
-	for s := 0; s < e.cfg.Cores; s++ {
-		seed := e.cfg.Seed + int64(s)*101
+	for s := range e.slices {
 		if sd := e.secSlices[s]; sd != nil {
-			sd.Reset(seed)
+			sd.Reset(sliceSeed(e.cfg.Seed, s))
 			continue
 		}
 		if b := e.baseSlices[s]; b != nil {
-			b.Reset(seed)
+			b.Reset(sliceSeed(e.cfg.Seed, s))
 			continue
 		}
-		sl, err := buildSlice(e.cfg, index, s)
-		if err != nil {
-			return err
-		}
-		e.installSlice(s, sl)
+		e.installSlice(s, nil)
 	}
 	for c := range e.stats.Core {
 		e.stats.Core[c] = CoreStats{}
@@ -279,7 +315,8 @@ func (e *Engine) Reset(seed int64) error {
 }
 
 // sliceMiss dispatches an L2 miss to its home slice, monomorphically for
-// the SecDir and Baseline kinds so the compiler sees a direct call.
+// the SecDir and Baseline kinds so the compiler sees a direct call. A
+// slice's first miss takes the Slice fallback, which builds it.
 func (e *Engine) sliceMiss(s, c int, line addr.Line, write bool) directory.MissResult {
 	if sd := e.secSlices[s]; sd != nil {
 		return sd.Miss(c, line, write)
@@ -287,7 +324,7 @@ func (e *Engine) sliceMiss(s, c int, line addr.Line, write bool) directory.MissR
 	if b := e.baseSlices[s]; b != nil {
 		return b.Miss(c, line, write)
 	}
-	return e.slices[s].Miss(c, line, write)
+	return e.Slice(s).Miss(c, line, write)
 }
 
 // sliceUpgrade dispatches a directory upgrade, monomorphically where possible.
@@ -298,7 +335,7 @@ func (e *Engine) sliceUpgrade(s, c int, line addr.Line) []directory.Action {
 	if b := e.baseSlices[s]; b != nil {
 		return b.Upgrade(c, line)
 	}
-	return e.slices[s].Upgrade(c, line)
+	return e.Slice(s).Upgrade(c, line)
 }
 
 // sliceL2Evict dispatches an L2 victim notification, monomorphically where
@@ -310,7 +347,7 @@ func (e *Engine) sliceL2Evict(s, c int, line addr.Line, dirty bool) []directory.
 	if b := e.baseSlices[s]; b != nil {
 		return b.L2Evict(c, line, dirty)
 	}
-	return e.slices[s].L2Evict(c, line, dirty)
+	return e.Slice(s).L2Evict(c, line, dirty)
 }
 
 // Config returns the engine's configuration.
@@ -319,17 +356,31 @@ func (e *Engine) Config() config.Config { return e.cfg }
 // Mapper returns the address mapper (slice/set hashing).
 func (e *Engine) Mapper() addr.Mapper { return e.mapper }
 
-// Slice returns directory slice s.
-func (e *Engine) Slice(s int) directory.Slice { return e.slices[s] }
+// Slice returns directory slice s, building it on first use. A slice built
+// while metrics are attached gets its own instruments attached too.
+func (e *Engine) Slice(s int) directory.Slice {
+	if sl := e.slices[s]; sl != nil {
+		return sl
+	}
+	sl := e.newSlice(sliceSeed(e.cfg.Seed, s))
+	if sd, ok := sl.(*core.Slice); ok && e.mx != nil {
+		sd.AttachMetrics(e.mx.reg)
+	}
+	e.installSlice(s, sl)
+	return sl
+}
 
 // Stats returns the engine counters.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// DirStats returns the sum of all slices' directory counters.
+// DirStats returns the sum of all slices' directory counters. Unbuilt
+// slices have seen no operation and are skipped without being built.
 func (e *Engine) DirStats() directory.Stats {
 	var agg directory.Stats
 	for _, s := range e.slices {
-		agg.Add(*s.Stats())
+		if s != nil {
+			agg.Add(*s.Stats())
+		}
 	}
 	return agg
 }

@@ -44,7 +44,11 @@ func (e *Engine) CheckInvariants() error {
 		}
 		cc := c
 		e.l2[cc].Range(func(l addr.Line, st *l2Line) bool {
-			m, _, ok := e.slices[e.mapper.Slice(l)].Find(l)
+			var m directory.Meta
+			ok := false
+			if sl := e.slices[e.mapper.Slice(l)]; sl != nil {
+				m, _, ok = sl.Find(l)
+			}
 			switch {
 			case !ok:
 				err = fmt.Errorf("core %d: L2 line %#x has no directory entry", cc, uint64(l))
@@ -60,8 +64,11 @@ func (e *Engine) CheckInvariants() error {
 		}
 	}
 
-	// 3-6: walk the directory slices.
+	// 3-6: walk the directory slices. Unbuilt slices hold no entries.
 	for si, sl := range e.slices {
+		if sl == nil {
+			continue
+		}
 		var tded *directory.TDED
 		var vdOf func(c int) interface {
 			Contains(addr.Line) bool

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"secdir/internal/config"
 	"secdir/internal/core"
 	"secdir/internal/directory"
 )
@@ -40,11 +41,15 @@ func (o Occupancy) VDFill() float64 { return fill(o.VDEntries, o.VDCapacity) }
 
 // OccupancySnapshot walks the directory slices and returns current fill
 // levels. Designs without introspectable structures (way-partitioned,
-// randomized) report only what they expose.
+// randomized) report only what they expose. An unbuilt slice holds no
+// entries but still counts its capacity, so fill fractions do not depend on
+// which slices a workload happened to touch.
 func (e *Engine) OccupancySnapshot() Occupancy {
 	o := Occupancy{VDPerCore: make([]int, e.cfg.Cores)}
 	for _, sl := range e.slices {
 		switch s := sl.(type) {
+		case nil:
+			o.addUnbuilt(e.cfg)
 		case *directory.BaselineSlice:
 			o.addTDED(s.TDED())
 		case *directory.RandMapSlice:
@@ -68,4 +73,17 @@ func (o *Occupancy) addTDED(d *directory.TDED) {
 	o.EDCapacity += d.ED.Sets() * d.ED.Ways()
 	o.TDEntries += d.TD.Len()
 	o.TDCapacity += d.TD.Sets() * d.TD.Ways()
+}
+
+// addUnbuilt accumulates the capacity of a slice that is not built yet, from
+// the same geometry its constructor would use.
+func (o *Occupancy) addUnbuilt(cfg config.Config) {
+	switch cfg.Kind {
+	case config.Baseline, config.RandMapped, config.SecDir:
+		o.EDCapacity += cfg.EDSets * cfg.EDWays
+		o.TDCapacity += cfg.TDSets * cfg.TDWays
+	}
+	if cfg.Kind == config.SecDir {
+		o.VDCapacity += cfg.Cores * cfg.VDSets * cfg.VDWays
+	}
 }

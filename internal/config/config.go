@@ -382,11 +382,19 @@ func (c Config) VDEntriesPerCore() int {
 	return c.Cores * c.VDSets * c.VDWays
 }
 
+// MaxCores is the largest machine the simulator models: a directory
+// entry's sharer vector (directory.Bitset) is one uint64, one bit per core,
+// so a core numbered 64 or above would silently never be recorded as a
+// sharer. Larger machines are analysed analytically in internal/area.
+const MaxCores = 64
+
 // Validate checks structural requirements and returns a descriptive error.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0 || c.Cores&(c.Cores-1) != 0:
 		return fmt.Errorf("config: cores must be a positive power of two, got %d", c.Cores)
+	case c.Cores > MaxCores:
+		return fmt.Errorf("config: cores must be at most %d, the width of the directory's uint64 sharer Bitset, got %d", MaxCores, c.Cores)
 	case c.TDSets != c.EDSets:
 		return fmt.Errorf("config: TD and ED must have the same set count (%d != %d); entries migrate within a set index", c.TDSets, c.EDSets)
 	case c.Kind == SecDir && (c.VDSets <= 0 || c.VDWays <= 0):

@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSkylakeXDefaults(t *testing.T) {
 	c := SkylakeX(8)
@@ -59,6 +62,7 @@ func TestValidateRejections(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Cores = 3 },
 		func(c *Config) { c.Cores = 0 },
+		func(c *Config) { c.Cores = 128 },   // beyond the 64-bit sharer vector
 		func(c *Config) { c.EDSets = 1024 }, // TD/ED set mismatch
 		func(c *Config) { c.L2Sets = 1000 },
 		func(c *Config) { c.Kind = SecDir; c.VDSets = 0 },
@@ -90,5 +94,25 @@ func TestDefaultLatencies(t *testing.T) {
 	}
 	if l.DRAMRT != 100 { // 50 ns at 2.0 GHz
 		t.Fatalf("DRAM latency: %+v", l)
+	}
+}
+
+// TestValidateRejectsCoresBeyondBitset pins the core cap: the directory's
+// sharer vector is a uint64, so 64 cores validate and 128 must be refused
+// with an error that names the Bitset width rather than simulated wrongly.
+func TestValidateRejectsCoresBeyondBitset(t *testing.T) {
+	if err := SecDirConfig(MaxCores).Validate(); err != nil {
+		t.Fatalf("%d cores rejected: %v", MaxCores, err)
+	}
+	for _, c := range []Config{SkylakeX(128), SecDirConfig(128), SkylakeX(1 << 10)} {
+		err := c.Validate()
+		if err == nil {
+			t.Fatalf("%d cores accepted", c.Cores)
+		}
+		for _, want := range []string{"cores", "64", "Bitset"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%d cores: error %q does not mention %q", c.Cores, err, want)
+			}
+		}
 	}
 }

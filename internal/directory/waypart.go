@@ -43,15 +43,25 @@ type WayPartParams struct {
 	Seed           int64
 }
 
-// NewWayPartitioned returns a way-partitioned directory slice, or an error if
-// the machine has more cores than directory ways (the design's hard limit).
-func NewWayPartitioned(p WayPartParams) (*WayPartSlice, error) {
+// Validate reports the error NewWayPartitioned would return for p: more
+// cores than directory ways (the design's hard limit), or unequal TD and ED
+// set counts.
+func (p WayPartParams) Validate() error {
 	if p.Cores > p.TDWays || p.Cores > p.EDWays {
-		return nil, fmt.Errorf("directory: way partitioning cannot serve %d cores with only %d TD / %d ED ways",
+		return fmt.Errorf("directory: way partitioning cannot serve %d cores with only %d TD / %d ED ways",
 			p.Cores, p.TDWays, p.EDWays)
 	}
 	if p.TDSets != p.EDSets {
-		return nil, fmt.Errorf("directory: TD and ED must have the same set count")
+		return fmt.Errorf("directory: TD and ED must have the same set count")
+	}
+	return nil
+}
+
+// NewWayPartitioned returns a way-partitioned directory slice, or an error if
+// the machine has more cores than directory ways (the design's hard limit).
+func NewWayPartitioned(p WayPartParams) (*WayPartSlice, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	s := &WayPartSlice{
 		ed: newPartTable(p.EDSets, p.EDWays, p.Cores, p.Index, p.Seed),

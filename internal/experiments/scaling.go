@@ -39,11 +39,11 @@ type SCRow struct {
 }
 
 // Scaling runs the attack and the sizing arithmetic at 8..maxCores cores
-// (power-of-two steps; the simulator supports up to 64). ctx is checked
-// between machine sizes.
+// (power-of-two steps; the simulator supports up to config.MaxCores). ctx
+// is checked between machine sizes.
 func Scaling(ctx context.Context, o RunOpts, maxCores int) ([]SCRow, error) {
-	if maxCores > 64 {
-		maxCores = 64
+	if maxCores > config.MaxCores {
+		maxCores = config.MaxCores
 	}
 	const rounds = 20
 	var rows []SCRow

@@ -111,9 +111,10 @@ func RunShard(ctx context.Context, o Options, start, count int, emit func(TrialR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker pools one engine across all the trials it claims;
-			// Engine.Reset between trials is bit-identical to a fresh build,
-			// so which worker runs which trial still cannot matter.
+			// Each worker reuses one engine across all the trials it claims
+			// and hands it back to the idle pool at the end; Engine.Reset
+			// is bit-identical to a fresh build, so which worker runs which
+			// trial, on which pooled engine, still cannot matter.
 			var te trialEngine
 			defer te.close()
 			for {

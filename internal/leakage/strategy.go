@@ -106,29 +106,34 @@ const rivalRekeyEvery = 20_000
 // private copy); skylake-fixed is the same geometry with the fix, leaking
 // only through genuine ED+TD set conflicts; secdir is the paper's defense.
 // The rival names resolve to the alternative defenses of the cross-defense
-// leaderboard (RivalNames).
+// leaderboard (RivalNames). A core count the simulator cannot model (not a
+// power of two, or above config.MaxCores) is an error.
 func ParseConfig(name string, cores int) (config.Config, error) {
+	var c config.Config
 	switch name {
 	case "skylake-unfixed", "baseline":
-		return config.SkylakeX(cores), nil
+		c = config.SkylakeX(cores)
 	case "skylake-fixed":
-		c := config.SkylakeX(cores)
+		c = config.SkylakeX(cores)
 		c.AppendixAFix = true
-		return c, nil
 	case "secdir":
-		return config.SecDirConfig(cores), nil
+		c = config.SecDirConfig(cores)
 	case "skewed":
-		return config.SkewedConfig(cores), nil
+		c = config.SkewedConfig(cores)
 	case "dls":
-		return config.DLSConfig(cores), nil
+		c = config.DLSConfig(cores)
 	case "tagpart":
-		return config.TagPartConfig(cores), nil
+		c = config.TagPartConfig(cores)
 	case "ceaser":
-		return config.CeaserConfig(cores, rivalRekeyEvery), nil
+		c = config.CeaserConfig(cores, rivalRekeyEvery)
 	default:
 		return config.Config{}, fmt.Errorf("leakage: unknown config %q (want one of %s)",
 			name, strings.Join(AllConfigNames(), ","))
 	}
+	if err := c.Validate(); err != nil {
+		return config.Config{}, fmt.Errorf("leakage: %s: %w", name, err)
+	}
+	return c, nil
 }
 
 // splitList parses a comma-separated CLI list, trimming blanks and expanding

@@ -244,6 +244,14 @@ func (s *Server) runJob(j *Job) {
 		state = StateFailed
 		s.failed.Inc()
 	}
+	// The job's engines are quiescent now; fold their counters into the
+	// cumulative simulation snapshot before the state is published, so a
+	// client that sees the job finished also finds its counters on /metricz.
+	snap := jobReg.Snapshot()
+	s.mu.Lock()
+	s.cum = s.cum.Merge(snap)
+	s.mu.Unlock()
+
 	// Only this worker can end a running job, so the terminal record can be
 	// written before the state is published: a client that sees the job
 	// finished also finds it finished in the ledger.
@@ -255,13 +263,6 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.recordJob(st, result)
 	j.finish(state, result, err, now)
-
-	// The job's engines are quiescent now; fold their counters into the
-	// cumulative simulation snapshot.
-	snap := jobReg.Snapshot()
-	s.mu.Lock()
-	s.cum = s.cum.Merge(snap)
-	s.mu.Unlock()
 }
 
 // apiError is the JSON error body every non-2xx response carries.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -820,6 +821,32 @@ func TestSubmitRefusesRetiredEngineOptions(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
 			t.Errorf("%s: HTTP %d %q, want 400 naming the field", field, resp.StatusCode, e.Error)
 		}
+	}
+}
+
+// TestSubmitRefusesCoresBeyondBitset: a directory's sharer vector is one
+// uint64, so every job kind refuses more than config.MaxCores cores at
+// admission with a 400 naming the field, instead of simulating a machine
+// whose cores 64 and up are never recorded as sharers. The cap itself is
+// accepted.
+func TestSubmitRefusesCoresBeyondBitset(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	for _, kind := range []string{"leak", "leaderboard", "replay", "attack"} {
+		body := fmt.Sprintf(`{"kind":%q,"cores":128}`, kind)
+		resp, err := http.Post(s.ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "cores") {
+			t.Errorf("%s at 128 cores: HTTP %d %q, want 400 naming cores", kind, resp.StatusCode, e.Error)
+		}
+	}
+	spec := JobSpec{Kind: KindLeak, Cores: config.MaxCores}
+	if err := spec.Normalize(); err != nil {
+		t.Errorf("cores at the cap refused: %v", err)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"secdir/internal/addr"
+	"secdir/internal/config"
 	"secdir/internal/leakage"
 	"secdir/internal/trace"
 )
@@ -113,6 +114,9 @@ func (s *JobSpec) Normalize() error {
 	}
 	if s.Cores <= 0 || s.Cores&(s.Cores-1) != 0 {
 		return fmt.Errorf("cores must be a positive power of two, got %d", s.Cores)
+	}
+	if s.Cores > config.MaxCores {
+		return fmt.Errorf("cores must be at most %d, the width of the directory's sharer Bitset, got %d", config.MaxCores, s.Cores)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
