@@ -28,9 +28,9 @@ import (
 	"sync"
 	"syscall"
 
-	"secdir/internal/fleet"
 	"secdir/internal/leakage"
 	"secdir/internal/metrics"
+	"secdir/internal/server"
 )
 
 func main() {
@@ -75,10 +75,34 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *fleetURL != "" {
-		req := fleet.JobRequest{
-			Kind:          "leak",
+	var progress func(stage string, done, total int)
+	if !*quiet {
+		var mu sync.Mutex
+		progress = func(stage string, done, total int) {
+			mu.Lock()
+			fmt.Fprintf(os.Stderr, "%-32s %d/%d trials\n", stage, done, total)
+			mu.Unlock()
+		}
+	}
+
+	// Explicit -config/-strategy selections narrow a leaderboard race; the
+	// flag defaults fall through to the leaderboard's own roster
+	// (LeaderboardNames × primeprobe+evictreload).
+	if *leaderboard && *cfgSpec == "all" {
+		configs = nil
+	}
+	if *leaderboard && *stratSpec == "suite" {
+		strategies = nil
+	}
+
+	var result any // *leakage.Report or *leakage.Leaderboard
+	switch {
+	case *fleetURL != "":
+		spec := server.JobSpec{
+			Kind:          server.KindLeak,
 			Fleet:         true,
+			Configs:       configs,
+			Strategies:    leakage.StrategyNames(strategies),
 			Cores:         *cores,
 			Trials:        *trials,
 			Rounds:        *rounds,
@@ -88,28 +112,13 @@ func main() {
 			Resamples:     *resamples,
 		}
 		if *leaderboard {
-			// The flag defaults fall through to the leaderboard's own roster,
-			// exactly as the local path below does.
-			req.Kind = "leaderboard"
-			if *cfgSpec != "all" {
-				req.Configs = configs
-			}
-			if *stratSpec != "suite" {
-				req.Strategies = leakage.StrategyNames(strategies)
-			}
-		} else {
-			req.Configs = configs
-			req.Strategies = leakage.StrategyNames(strategies)
+			spec.Kind = server.KindLeaderboard
 		}
-		if err := runFleet(ctx, *fleetURL, req, *jsonOut, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *leaderboard {
-		lbOpts := leakage.LeaderboardOptions{
+		result, err = runFleet(ctx, *fleetURL, spec, progress)
+	case *leaderboard:
+		result, err = leakage.RunLeaderboard(ctx, leakage.LeaderboardOptions{
+			Configs:       configs,
+			Strategies:    strategies,
 			Cores:         *cores,
 			Trials:        *trials,
 			Rounds:        *rounds,
@@ -117,143 +126,57 @@ func main() {
 			Workers:       *workers,
 			Seed:          *seed,
 			Metrics:       reg,
-		}
-		// Explicit -config/-strategy selections narrow the race; the flag
-		// defaults fall through to the leaderboard's own roster
-		// (LeaderboardNames × primeprobe+evictreload).
-		if *cfgSpec != "all" {
-			lbOpts.Configs = configs
-		}
-		if *stratSpec != "suite" {
-			lbOpts.Strategies = strategies
-		}
-		if !*quiet {
-			var mu sync.Mutex
-			lbOpts.Progress = func(stage string, done, total int) {
-				mu.Lock()
-				fmt.Fprintf(os.Stderr, "%-32s %d/%d trials\n", stage, done, total)
-				mu.Unlock()
-			}
-		}
-		lb, err := leakage.RunLeaderboard(ctx, lbOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(lb); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			fmt.Print(lb.Text())
-		}
-		if err := mflags.Finish(reg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+			Progress:      progress,
+		})
+	default:
+		result, err = leakage.RunReport(ctx, leakage.ReportOptions{
+			Configs:       configs,
+			Strategies:    strategies,
+			Cores:         *cores,
+			Trials:        *trials,
+			Rounds:        *rounds,
+			EvictionLines: *evLines,
+			Workers:       *workers,
+			Seed:          *seed,
+			Confidence:    *confidence,
+			Resamples:     *resamples,
+			Metrics:       reg,
+			Progress:      progress,
+		})
 	}
-
-	opts := leakage.ReportOptions{
-		Configs:       configs,
-		Strategies:    strategies,
-		Cores:         *cores,
-		Trials:        *trials,
-		Rounds:        *rounds,
-		EvictionLines: *evLines,
-		Workers:       *workers,
-		Seed:          *seed,
-		Confidence:    *confidence,
-		Resamples:     *resamples,
-		Metrics:       reg,
+	if err == nil {
+		err = printResult(result, *jsonOut)
 	}
-	if !*quiet {
-		var mu sync.Mutex
-		opts.Progress = func(stage string, done, total int) {
-			mu.Lock()
-			fmt.Fprintf(os.Stderr, "%-32s %d/%d trials\n", stage, done, total)
-			mu.Unlock()
-		}
+	if err == nil {
+		err = mflags.Finish(reg)
 	}
-
-	rep, err := leakage.RunReport(ctx, opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Print(rep.Text())
-		if n := len(rep.Leaks()); n > 0 {
-			fmt.Printf("\n%d/%d cells leak under TVLA.\n", n, len(rep.Verdicts))
-		} else {
-			fmt.Printf("\nno cell leaks under TVLA.\n")
-		}
-	}
-	if err := mflags.Finish(reg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// runFleet submits the sweep to a coordinator and prints the merged result
-// exactly as the local path would: the report decodes into the same Go
-// structs (float64 JSON round-trips are exact), so tables, JSON and the leak
-// summary are bit-identical to a local run.
-func runFleet(ctx context.Context, baseURL string, req fleet.JobRequest, jsonOut, quiet bool) error {
-	cl := &fleet.Client{BaseURL: baseURL}
-	var progress func(fleet.ProgressEvent)
-	if !quiet {
-		progress = func(e fleet.ProgressEvent) {
-			if e.Stage == "" || e.Stage == "start" || e.Stage == "finish" {
-				return
-			}
-			fmt.Fprintf(os.Stderr, "%-32s %d/%d trials\n", e.Stage, e.Done, e.Total)
-		}
-	}
-	raw, err := cl.SubmitAndWait(ctx, req, progress)
-	if err != nil {
-		return err
-	}
-
-	emit := func(v any) error {
+// printResult writes a *leakage.Report or *leakage.Leaderboard to stdout as
+// indented JSON or as its text table; a report's table is followed by the
+// TVLA leak summary. A fleet result decodes into the same Go structs as a
+// local one (float64 JSON round-trips are exact), so either prints
+// byte-identically.
+func printResult(result any, jsonOut bool) error {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(v)
+		return enc.Encode(result)
 	}
-	if req.Kind == "leaderboard" {
-		var lb leakage.Leaderboard
-		if err := json.Unmarshal(raw, &lb); err != nil {
-			return fmt.Errorf("bad leaderboard result: %w", err)
+	switch r := result.(type) {
+	case *leakage.Leaderboard:
+		fmt.Print(r.Text())
+	case *leakage.Report:
+		fmt.Print(r.Text())
+		if n := len(r.Leaks()); n > 0 {
+			fmt.Printf("\n%d/%d cells leak under TVLA.\n", n, len(r.Verdicts))
+		} else {
+			fmt.Printf("\nno cell leaks under TVLA.\n")
 		}
-		if jsonOut {
-			return emit(&lb)
-		}
-		fmt.Print(lb.Text())
-		return nil
-	}
-	var rep leakage.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("bad report result: %w", err)
-	}
-	if jsonOut {
-		return emit(&rep)
-	}
-	fmt.Print(rep.Text())
-	if n := len(rep.Leaks()); n > 0 {
-		fmt.Printf("\n%d/%d cells leak under TVLA.\n", n, len(rep.Verdicts))
-	} else {
-		fmt.Printf("\nno cell leaks under TVLA.\n")
 	}
 	return nil
 }

@@ -8,11 +8,11 @@
 //	secdir-serve                              # listen on localhost:8372
 //	secdir-serve -addr :9000 -workers 4 -queue 16 -job-timeout 2m
 //
-// Fleet mode distributes leak/leaderboard sweeps across many processes:
+// Fleet mode distributes leak/leaderboard sweeps across many processes; a
+// server given -fleet-workers is the coordinator of that fixed worker list:
 //
-//	secdir-serve -coordinator -addr :8372 \
-//	    -fleet-workers http://host1:8373,http://host2:8373   # static fleet
-//	secdir-serve -addr :8373 -register http://host0:8372     # dynamic worker
+//	secdir-serve -addr :8373                                 # on each worker host
+//	secdir-serve -addr :8372 -fleet-workers http://host1:8373,http://host2:8373
 //
 // A coordinator accepts jobs submitted with "fleet": true, shards them
 // across its workers, and merges results bit-identical to a local run. Every
@@ -31,8 +31,6 @@
 //	GET  /versionz           the binary's build info
 //	GET  /storez             experiment-store chain head (with -store-dir)
 //	POST /fleet/shard        execute one trial-range shard (NDJSON stream)
-//	POST /fleet/register     worker registration/heartbeat (coordinator only)
-//	GET  /fleet/workerz      per-worker liveness and counters (coordinator only)
 //
 // With -store-dir the server keeps a durable, hash-chained experiment store:
 // every job lifecycle lands in the run ledger, results become
@@ -76,15 +74,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight jobs")
 	storeDir := flag.String("store-dir", "", "directory of the durable experiment store (empty = no persistence)")
 
-	coordinator := flag.Bool("coordinator", false, "act as a fleet coordinator for leak/leaderboard sweeps")
-	fleetWorkers := flag.String("fleet-workers", "", "comma-separated static worker base URLs (coordinator mode)")
-	register := flag.String("register", "", "coordinator base URL to register with as a worker (starts a heartbeat loop)")
-	advertise := flag.String("advertise", "", "base URL to announce when registering (default derived from -addr)")
-	shardTrials := flag.Int("shard-trials", 0, "trials per dispatched fleet shard (0 = default)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-attempt wall-clock budget of one fleet shard (0 = default)")
-	shardRetries := flag.Int("shard-retries", 0, "max genuine-failure attempts per fleet shard (0 = default)")
-	heartbeat := flag.Duration("heartbeat", 0, "fleet heartbeat interval (0 = default)")
-	stealAfter := flag.Duration("steal-after", 0, "age after which an idle worker duplicates a straggler's shard (0 = default)")
+	fleetWorkers := flag.String("fleet-workers", "", "comma-separated worker base URLs; non-empty makes this server their fleet coordinator")
 	flag.Parse()
 
 	cfg := config.ServerConfig{
@@ -93,60 +83,20 @@ func main() {
 		Workers:    *workers,
 		JobTimeout: *jobTimeout,
 	}
-	opts := fleetOptions{
-		coordinator: *coordinator,
-		workers:     splitURLs(*fleetWorkers),
-		register:    *register,
-		advertise:   *advertise,
-		cfg: fleet.Config{
-			ShardTrials:       *shardTrials,
-			ShardTimeout:      *shardTimeout,
-			MaxAttempts:       *shardRetries,
-			HeartbeatInterval: *heartbeat,
-			StealAfter:        *stealAfter,
-		},
+	fleetURLs, err := fleet.ParseWorkerURLs(*fleetWorkers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-fleet-workers:", err)
+		os.Exit(2)
 	}
-	if err := run(cfg, *drainTimeout, *storeDir, opts); err != nil {
+	if err := run(cfg, *drainTimeout, *storeDir, fleetURLs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-// fleetOptions carries the fleet-mode flags into run.
-type fleetOptions struct {
-	coordinator bool
-	workers     []string
-	register    string
-	advertise   string
-	cfg         fleet.Config
-}
-
-// splitURLs parses a comma-separated URL list, dropping blanks.
-func splitURLs(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// advertiseURL derives the base URL a worker announces: -advertise verbatim,
-// else "http://localhost:port" from the listen address.
-func advertiseURL(advertise, addr string) string {
-	if advertise != "" {
-		return advertise
-	}
-	if strings.HasPrefix(addr, ":") {
-		return "http://localhost" + addr
-	}
-	return "http://" + addr
-}
-
-// run brings the server (and, in fleet mode, its coordinator or registration
-// loop) up and tears everything down on SIGINT/SIGTERM.
-func run(cfg config.ServerConfig, drainTimeout time.Duration, storeDir string, opts fleetOptions) error {
+// run brings the server (and, given fleet workers, its coordinator) up and
+// tears everything down on SIGINT/SIGTERM.
+func run(cfg config.ServerConfig, drainTimeout time.Duration, storeDir string, fleetWorkers []string) error {
 	reg := metrics.New()
 	srv, err := server.New(cfg, reg)
 	if err != nil {
@@ -178,25 +128,15 @@ func run(cfg config.ServerConfig, drainTimeout time.Duration, storeDir string, o
 		}
 	}
 
-	var coord *fleet.Coordinator
-	if opts.coordinator || len(opts.workers) > 0 {
-		fc := opts.cfg
-		fc.Workers = opts.workers
-		fc.Metrics = reg
-		coord = fleet.New(fc)
-		srv.AttachFleet(coord)
-		log.Printf("fleet coordinator up (%d static workers; POST /fleet/register to join)", len(opts.workers))
+	if len(fleetWorkers) > 0 {
+		srv.AttachFleet(fleet.New(fleet.Config{Workers: fleetWorkers, Metrics: reg}))
+		log.Printf("fleet coordinator up (%d workers)", len(fleetWorkers))
 	}
 
 	httpSrv := &http.Server{Addr: cfg.Addr, Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	if opts.register != "" {
-		self := advertiseURL(opts.advertise, cfg.Addr)
-		go registerLoop(ctx, opts.register, self, cfg.ResolvedWorkers())
-	}
 
 	errc := make(chan error, 1)
 	go func() {
@@ -227,35 +167,4 @@ func run(cfg config.ServerConfig, drainTimeout time.Duration, storeDir string, o
 	}
 	log.Printf("drained cleanly")
 	return nil
-}
-
-// registerLoop announces this worker to the coordinator at the interval the
-// coordinator asks for — the registration doubles as the heartbeat — until
-// ctx is cancelled. Failures are logged and retried; the coordinator treats
-// a silent worker as dead and re-enqueues its shards.
-func registerLoop(ctx context.Context, coordinatorURL, self string, poolWidth int) {
-	interval := 2 * time.Second
-	ok := true
-	for {
-		iv, err := fleet.RegisterWorker(ctx, nil, coordinatorURL, self, poolWidth)
-		switch {
-		case err == nil:
-			if !ok || iv != interval {
-				log.Printf("registered with coordinator %s as %s (heartbeat %v)", coordinatorURL, self, iv)
-			}
-			interval, ok = iv, true
-		case ctx.Err() != nil:
-			return
-		default:
-			if ok {
-				log.Printf("coordinator %s registration failed (will retry): %v", coordinatorURL, err)
-			}
-			ok = false
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(interval):
-		}
-	}
 }

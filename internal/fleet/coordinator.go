@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,10 +17,9 @@ import (
 // sweeps across them. Create one with New; it immediately starts probing its
 // workers and stops via Drain.
 type Coordinator struct {
-	cfg    Config
-	reg    *metrics.Registry
-	clock  Clock
-	client *http.Client
+	cfg   Config
+	reg   *metrics.Registry
+	clock Clock
 
 	mu       sync.Mutex
 	workers  map[string]*worker
@@ -42,8 +39,8 @@ type Coordinator struct {
 	shardMillis *metrics.Histogram
 }
 
-// New builds a coordinator over cfg's static workers (more may Register
-// later) and starts its heartbeat prober.
+// New builds a coordinator over cfg's workers and starts its heartbeat
+// prober.
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	reg := cfg.Metrics
@@ -54,7 +51,6 @@ func New(cfg Config) *Coordinator {
 		cfg:     cfg,
 		reg:     reg,
 		clock:   cfg.Clock,
-		client:  cfg.Client,
 		workers: map[string]*worker{},
 		stopHB:  make(chan struct{}),
 		hbDone:  make(chan struct{}),
@@ -73,7 +69,7 @@ func New(cfg Config) *Coordinator {
 		if u == "" {
 			continue
 		}
-		c.workers[u] = &worker{url: u, static: true, lastSeen: now}
+		c.workers[u] = &worker{url: u, lastSeen: now}
 	}
 	reg.GaugeFunc("fleet/workers_known", func() float64 {
 		c.mu.Lock()
@@ -99,35 +95,8 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-// Register adds or refreshes a worker — the /fleet/register handler's hook.
-// Registration doubles as the heartbeat: a registered worker that stops
-// re-registering ages out after HeartbeatMiss intervals. Returns the
-// interval the worker should re-register at.
-func (c *Coordinator) Register(rawURL string, poolWidth int) (time.Duration, error) {
-	u := normalizeWorkerURL(rawURL)
-	parsed, err := url.Parse(u)
-	if err != nil || (parsed.Scheme != "http" && parsed.Scheme != "https") || parsed.Host == "" {
-		return 0, fmt.Errorf("fleet: bad worker url %q (want http(s)://host:port)", rawURL)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		return 0, fmt.Errorf("fleet: coordinator is draining; not accepting workers")
-	}
-	w := c.workers[u]
-	if w == nil {
-		w = &worker{url: u}
-		c.workers[u] = w
-	}
-	w.lastSeen = c.clock.Now()
-	if poolWidth > 0 {
-		w.poolWidth = poolWidth
-	}
-	return c.cfg.HeartbeatInterval, nil
-}
-
 // Workerz snapshots every worker's liveness and shard accounting, sorted by
-// URL — the /fleet/workerz payload.
+// URL — the fleet section of GET /metricz.
 func (c *Coordinator) Workerz() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -137,7 +106,6 @@ func (c *Coordinator) Workerz() []WorkerStatus {
 		out = append(out, WorkerStatus{
 			URL:                w.url,
 			Alive:              w.alive(now, c.cfg),
-			Static:             w.static,
 			LastHeartbeatAgeMS: now.Sub(w.lastSeen).Milliseconds(),
 			Inflight:           w.inflight,
 			PoolWidth:          w.poolWidth,
@@ -151,9 +119,9 @@ func (c *Coordinator) Workerz() []WorkerStatus {
 	return out
 }
 
-// Drain stops the heartbeat prober, refuses new sweeps and registrations,
-// and waits for active sweeps — and therefore their in-flight shards — to
-// finish, bounded by ctx. Safe to call more than once.
+// Drain stops the heartbeat prober, refuses new sweeps, and waits for active
+// sweeps — and therefore their in-flight shards — to finish, bounded by ctx.
+// Safe to call more than once.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	already := c.draining
@@ -181,7 +149,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 // in-flight shards are re-enqueued by the sweep scheduler.
 func (c *Coordinator) heartbeatLoop() {
 	defer close(c.hbDone)
-	// An eager first probe learns static workers' pool widths before the
+	// An eager first probe learns the workers' pool widths before the
 	// first sweep, so the scheduler can size dispatch to them immediately.
 	c.probeWorkers()
 	for {
@@ -356,7 +324,7 @@ func (c *Coordinator) begin(spec SweepSpec) ([]*cell, leakage.Options, error) {
 	}
 	if len(c.workers) == 0 {
 		c.mu.Unlock()
-		return nil, leakage.Options{}, fmt.Errorf("fleet: no workers (configure -fleet-workers or register some)")
+		return nil, leakage.Options{}, fmt.Errorf("fleet: no workers (configure -fleet-workers)")
 	}
 	c.runs.Add(1)
 	c.mu.Unlock()
@@ -464,7 +432,7 @@ func (c *Coordinator) launch(ctx context.Context, tasks []*task, resc chan<- sha
 	// than it has slots: dispatching past that would only bounce off its
 	// 429 busy refusals.
 	slots := func(w *worker) int {
-		n := c.cfg.MaxInflight
+		n := maxInflight
 		if w.poolWidth > 0 && w.poolWidth < n {
 			n = w.poolWidth
 		}

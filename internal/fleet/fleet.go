@@ -17,33 +17,40 @@
 //
 // Workers are plain secdir-serve processes: every server exposes the
 // POST /fleet/shard execution endpoint. A coordinator is a secdir-serve
-// started with -coordinator; it learns its fleet from the static
-// -fleet-workers list and from dynamic POST /fleet/register heartbeats, and
-// reports per-worker liveness at GET /fleet/workerz.
+// started with a -fleet-workers list; that static list is the whole fleet,
+// and the coordinator reports per-worker liveness in the fleet section of
+// GET /metricz.
 package fleet
 
 import (
-	"net/http"
+	"fmt"
+	"net/url"
+	"strings"
 	"time"
 
 	"secdir/internal/metrics"
 )
 
-// Config shapes a Coordinator. The zero value of every field is a usable
-// default; Workers may be empty when the fleet is populated dynamically via
-// Register.
+const (
+	// maxInflight bounds the shards concurrently in flight per worker: one
+	// executing, one queued behind the worker's pool.
+	maxInflight = 2
+	// shardTimeout is the per-attempt wall-clock budget of one shard call.
+	// It runs on the wall clock, not Config.Clock.
+	shardTimeout = 5 * time.Minute
+)
+
+// Config shapes a Coordinator. The zero value of every field but Workers is
+// a usable default.
 type Config struct {
-	// Workers are the static worker base URLs ("http://host:port") known at
-	// start-up. More workers can join at runtime via Register (the
-	// /fleet/register endpoint).
+	// Workers are the worker base URLs ("http://host:port"), as
+	// ParseWorkerURLs returns them. The list is fixed for the coordinator's
+	// lifetime.
 	Workers []string
 	// ShardTrials is the trial count per dispatched shard (default 25).
 	// Smaller shards ride out worker loss more cheaply; larger shards
 	// amortize HTTP overhead.
 	ShardTrials int
-	// MaxInflight bounds the shards concurrently in flight per worker
-	// (default 2: one executing, one queued behind the worker's pool).
-	MaxInflight int
 	// MaxAttempts bounds the genuine-failure dispatch attempts per shard
 	// before the sweep fails (default 4). Re-enqueues caused by worker death
 	// or losing a steal race do not count against the budget.
@@ -54,11 +61,7 @@ type Config struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff.
 	BackoffMax time.Duration
-	// ShardTimeout is the per-attempt wall-clock budget of one shard call
-	// (default 5m). It runs on the wall clock, not Config.Clock.
-	ShardTimeout time.Duration
-	// HeartbeatInterval is the liveness probe cadence and the re-register
-	// cadence handed to dynamic workers (default 2s).
+	// HeartbeatInterval is the liveness probe cadence (default 2s).
 	HeartbeatInterval time.Duration
 	// HeartbeatMiss is how many intervals a worker may go unseen before it
 	// is declared dead and its in-flight shards are re-enqueued (default 3).
@@ -79,18 +82,12 @@ type Config struct {
 	// fleet/shards_stolen, fleet/shards_requeued, fleet/shards_discarded,
 	// fleet/shards_busy, fleet/shard_millis.
 	Metrics *metrics.Registry
-	// Client issues the worker HTTP calls (default a plain &http.Client{};
-	// per-call deadlines come from ShardTimeout contexts).
-	Client *http.Client
 }
 
 // withDefaults fills unset Config fields.
 func (c Config) withDefaults() Config {
 	if c.ShardTrials <= 0 {
 		c.ShardTrials = 25
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 2
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
@@ -100,9 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.ShardTimeout <= 0 {
-		c.ShardTimeout = 5 * time.Minute
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
@@ -115,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = RealClock()
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	return c
 }
@@ -136,4 +127,29 @@ func (c Config) backoff(attempt int) time.Duration {
 		return c.BackoffMax
 	}
 	return d
+}
+
+// ParseWorkerURLs parses a comma-separated list of worker base URLs,
+// dropping blanks and trailing slashes. Every entry must be an absolute
+// http(s) URL with a host: a worker the coordinator cannot reach would
+// never turn alive, and a sweep would wait on it until its deadline.
+func ParseWorkerURLs(list string) ([]string, error) {
+	var out []string
+	for _, raw := range strings.Split(list, ",") {
+		u := normalizeWorkerURL(raw)
+		if u == "" {
+			continue
+		}
+		parsed, err := url.Parse(u)
+		if err != nil || (parsed.Scheme != "http" && parsed.Scheme != "https") || parsed.Host == "" {
+			return nil, fmt.Errorf("fleet: bad worker url %q (want http(s)://host:port)", raw)
+		}
+		out = append(out, u)
+	}
+	return out, nil
+}
+
+// normalizeWorkerURL canonicalizes a worker base URL for map identity.
+func normalizeWorkerURL(u string) string {
+	return strings.TrimRight(strings.TrimSpace(u), "/")
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"strings"
 
 	"secdir/internal/leakage"
 )
@@ -116,22 +115,6 @@ type ShardLine struct {
 	Count int `json:"count,omitempty"`
 }
 
-// RegisterRequest is the body of POST /fleet/register: a worker announcing
-// (or re-announcing — registration doubles as the heartbeat) itself to a
-// coordinator.
-type RegisterRequest struct {
-	// URL is the worker's externally reachable base URL.
-	URL string `json:"url"`
-	// Workers is the worker's job-pool width, informational.
-	Workers int `json:"workers,omitempty"`
-}
-
-// RegisterResponse tells the worker how often to re-register.
-type RegisterResponse struct {
-	// IntervalMS is the coordinator's heartbeat interval in milliseconds.
-	IntervalMS int64 `json:"interval_ms"`
-}
-
 // ShardProvenance records which worker's result was accepted for one shard of
 // a sweep — the merge provenance RunLeak/RunLeaderboard hand back alongside
 // the merged result, so callers (the server's run ledger) can record exactly
@@ -243,10 +226,3 @@ func planCells(spec SweepSpec) ([]*cell, leakage.Options, error) {
 // stageLabel is the progress stage name of a cell, matching the local job
 // runner's "config/strategy" convention.
 func (c *cell) stageLabel() string { return c.name + "/" + c.strategy }
-
-// normalizeWorkerURL canonicalizes a worker base URL for map identity.
-func normalizeWorkerURL(u string) string {
-	u = strings.TrimSpace(u)
-	u = strings.TrimRight(u, "/")
-	return u
-}

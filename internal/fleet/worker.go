@@ -23,10 +23,9 @@ var errWorkerBusy = errors.New("fleet: worker busy")
 // worker is the coordinator's view of one secdir-serve instance. All fields
 // are guarded by the coordinator's mutex.
 type worker struct {
-	url    string
-	static bool // configured at start-up; never pruned, only marked dead
+	url string
 
-	lastSeen  time.Time // last successful probe or registration
+	lastSeen  time.Time // last successful probe
 	inflight  int       // shards currently assigned
 	poolWidth int       // reported pool width: caps dispatch concurrency when known
 
@@ -38,20 +37,18 @@ type worker struct {
 
 // alive reports liveness by heartbeat age: a worker unseen for more than
 // HeartbeatMiss intervals is dead and receives no new shards until a probe
-// or registration revives it.
+// revives it.
 func (w *worker) alive(now time.Time, cfg Config) bool {
 	return now.Sub(w.lastSeen) <= time.Duration(cfg.HeartbeatMiss)*cfg.HeartbeatInterval
 }
 
-// WorkerStatus is one row of GET /fleet/workerz: a worker's liveness and
-// shard accounting as JSON.
+// WorkerStatus is one row of the fleet section of GET /metricz: a worker's
+// liveness and shard accounting as JSON.
 type WorkerStatus struct {
 	// URL is the worker's base URL.
 	URL string `json:"url"`
 	// Alive reports heartbeat-age liveness.
 	Alive bool `json:"alive"`
-	// Static distinguishes -fleet-workers entries from dynamic registrants.
-	Static bool `json:"static"`
 	// LastHeartbeatAgeMS is how long ago the worker was last seen.
 	LastHeartbeatAgeMS int64 `json:"last_heartbeat_age_ms"`
 	// Inflight counts shards currently assigned to the worker.
@@ -70,21 +67,21 @@ type WorkerStatus struct {
 
 // executeShard runs one shard on one worker: POST the request, stream the
 // NDJSON response, and validate completeness against the EOF marker. The
-// context carries the per-attempt ShardTimeout; cancelling it (steal loss,
+// context carries the per-attempt shardTimeout; cancelling it (steal loss,
 // dead-worker reap, sweep teardown) aborts the transfer.
 func (c *Coordinator) executeShard(ctx context.Context, w *worker, req ShardRequest) ([]leakage.TrialResult, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, shardTimeout)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.url+"/fleet/shard", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: %w", w.url, err)
 	}
@@ -151,7 +148,7 @@ func (c *Coordinator) probe(w *worker) (ok bool, poolWidth int) {
 	if err != nil {
 		return false, 0
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false, 0
 	}

@@ -13,15 +13,13 @@ import (
 // This file is the server's two fleet faces. Every server is a WORKER: it
 // exposes POST /fleet/shard, executing one trial range of one (config,
 // strategy) cell and streaming the per-trial results back as NDJSON. A
-// server with a fleet.Coordinator attached (secdir-serve -coordinator) is
-// additionally a COORDINATOR: it accepts fleet jobs (JobSpec.Fleet), worker
-// registrations (POST /fleet/register), and serves the per-worker liveness
-// snapshot (GET /fleet/workerz).
+// server with a fleet.Coordinator attached (secdir-serve -fleet-workers) is
+// additionally a COORDINATOR: it accepts fleet jobs (JobSpec.Fleet) and adds
+// the per-worker liveness snapshot to GET /metricz.
 
 // AttachFleet makes the server a fleet coordinator: leak and leaderboard
-// jobs submitted with "fleet": true run across c's workers, and the
-// /fleet/register and /fleet/workerz endpoints come alive. Call before
-// serving traffic.
+// jobs submitted with "fleet": true run across c's workers, and /metricz
+// gains a fleet section. Call before serving traffic.
 func (s *Server) AttachFleet(c *fleet.Coordinator) {
 	s.mu.Lock()
 	s.fleetC = c
@@ -138,38 +136,4 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-}
-
-// handleFleetRegister accepts a worker's registration/heartbeat. 404 unless
-// this server is a coordinator.
-func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
-	c := s.coordinator()
-	if c == nil {
-		writeError(w, http.StatusNotFound, "this server is not a fleet coordinator")
-		return
-	}
-	var req fleet.RegisterRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad register request: %v", err)
-		return
-	}
-	interval, err := c.Register(req.URL, req.Workers)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, fleet.RegisterResponse{IntervalMS: interval.Milliseconds()})
-}
-
-// handleFleetWorkerz serves the coordinator's per-worker status. 404 unless
-// this server is a coordinator.
-func (s *Server) handleFleetWorkerz(w http.ResponseWriter, r *http.Request) {
-	c := s.coordinator()
-	if c == nil {
-		writeError(w, http.StatusNotFound, "this server is not a fleet coordinator")
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Workerz())
 }

@@ -14,7 +14,6 @@ import (
 
 	"secdir/internal/fleet"
 	"secdir/internal/leakage"
-	"secdir/internal/metrics"
 )
 
 // TestShardEndpoint exercises the worker face every server exposes:
@@ -109,7 +108,9 @@ func TestShardEndpoint(t *testing.T) {
 // since both decode into the same leakage.Report.
 func TestFleetJobEndToEnd(t *testing.T) {
 	w1 := newTestServer(t, quickConfig())
-	w2 := newTestServer(t, quickConfig())
+	narrow := quickConfig()
+	narrow.Workers = 1
+	w2 := newTestServer(t, narrow)
 	co := newTestServer(t, quickConfig())
 	co.srv.AttachFleet(fleet.New(fleet.Config{
 		Workers: []string{w1.ts.URL, w2.ts.URL},
@@ -129,6 +130,15 @@ func TestFleetJobEndToEnd(t *testing.T) {
 	// A plain server has no coordinator: fleet submissions are rejected
 	// up front, not queued to fail later.
 	w1.submit(t, spec, http.StatusBadRequest)
+
+	// A coordinator with an empty fleet queues the job, which then fails
+	// naming the missing workers.
+	empty := newTestServer(t, quickConfig())
+	empty.srv.AttachFleet(fleet.New(fleet.Config{Metrics: empty.reg}))
+	est := empty.submit(t, spec, 0)
+	if js := empty.waitState(t, est.ID, StateFailed, 30*time.Second); !strings.Contains(js.Err, "no workers") {
+		t.Errorf("empty-fleet job error = %q, want a no-workers failure", js.Err)
+	}
 
 	st := co.submit(t, spec, 0)
 	co.waitState(t, st.ID, StateDone, 120*time.Second)
@@ -151,41 +161,18 @@ func TestFleetJobEndToEnd(t *testing.T) {
 			fleetRes.Result, localRes.Result)
 	}
 
-	// The coordinator reports both workers alive at /fleet/workerz and in
-	// the /metricz fleet section.
-	resp, err := http.Get(co.ts.URL + "/fleet/workerz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws []fleet.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(ws) != 2 {
-		t.Fatalf("workerz has %d workers, want 2: %+v", len(ws), ws)
-	}
-	for _, w := range ws {
-		if !w.Alive || !w.Static || w.ShardsDone == 0 {
-			t.Errorf("worker %s: alive=%v static=%v done=%d, want a live static worker with shards done",
-				w.URL, w.Alive, w.Static, w.ShardsDone)
-		}
-	}
-
-	mresp, err := http.Get(co.ts.URL + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var mb struct {
-		Fleet    []fleet.WorkerStatus `json:"fleet"`
-		Snapshot metrics.Snapshot     `json:"snapshot"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&mb); err != nil {
-		t.Fatal(err)
-	}
+	// The coordinator's /metricz fleet section reports both workers alive,
+	// with shards done and the pool width each one's /healthz advertises.
+	mb := getMetricz(t, co)
 	if len(mb.Fleet) != 2 {
-		t.Errorf("/metricz fleet section has %d workers, want 2", len(mb.Fleet))
+		t.Fatalf("/metricz fleet section has %d workers, want 2: %+v", len(mb.Fleet), mb.Fleet)
+	}
+	wantWidth := map[string]int{w1.ts.URL: 2, w2.ts.URL: 1}
+	for _, w := range mb.Fleet {
+		if !w.Alive || w.ShardsDone == 0 || w.PoolWidth != wantWidth[w.URL] {
+			t.Errorf("worker %s: alive=%v done=%d pool width %d, want a live worker with shards done and pool width %d",
+				w.URL, w.Alive, w.ShardsDone, w.PoolWidth, wantWidth[w.URL])
+		}
 	}
 	if n := mb.Snapshot.Gauges["fleet/workers_live"]; n != 2 {
 		t.Errorf("fleet/workers_live = %v, want 2", n)
@@ -194,62 +181,23 @@ func TestFleetJobEndToEnd(t *testing.T) {
 		t.Error("fleet/shards_dispatched = 0 after a fleet job")
 	}
 
-	// A non-coordinator 404s the fleet read endpoints.
-	resp404, err := http.Get(w1.ts.URL + "/fleet/workerz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp404.Body.Close()
-	if resp404.StatusCode != http.StatusNotFound {
-		t.Errorf("workerz on a plain server: HTTP %d, want 404", resp404.StatusCode)
+	// A plain server's /metricz has no fleet section.
+	if fl := getMetricz(t, w1).Fleet; fl != nil {
+		t.Errorf("plain server /metricz fleet section = %+v, want none", fl)
 	}
 }
 
-// TestFleetDynamicRegistration starts a coordinator with an empty fleet:
-// sweeps fail until a worker registers over HTTP, then succeed against the
-// dynamically joined worker.
-func TestFleetDynamicRegistration(t *testing.T) {
-	w := newTestServer(t, quickConfig())
-	co := newTestServer(t, quickConfig())
-	co.srv.AttachFleet(fleet.New(fleet.Config{Metrics: metrics.New()}))
-
-	spec := JobSpec{
-		Kind:       KindLeak,
-		Fleet:      true,
-		Configs:    []string{"secdir"},
-		Strategies: []string{"evictreload"},
-		Trials:     20,
-		Rounds:     4,
-		Seed:       2,
-	}
-
-	st := co.submit(t, spec, 0)
-	js := co.waitState(t, st.ID, StateFailed, 30*time.Second)
-	if !strings.Contains(js.Err, "no workers") {
-		t.Errorf("empty-fleet job error = %q, want a no-workers failure", js.Err)
-	}
-
-	iv, err := fleet.RegisterWorker(context.Background(), nil, co.ts.URL, w.ts.URL, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv <= 0 {
-		t.Fatalf("registration returned heartbeat interval %v, want > 0", iv)
-	}
-
-	st2 := co.submit(t, spec, 0)
-	co.waitState(t, st2.ID, StateDone, 120*time.Second)
-
-	resp, err := http.Get(co.ts.URL + "/fleet/workerz")
+// getMetricz fetches and decodes a server's GET /metricz.
+func getMetricz(t *testing.T, s *testServer) metricsBody {
+	t.Helper()
+	resp, err := http.Get(s.ts.URL + "/metricz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ws []fleet.WorkerStatus
-	if err := json.NewDecoder(resp.Body).Decode(&ws); err != nil {
+	var mb metricsBody
+	if err := json.NewDecoder(resp.Body).Decode(&mb); err != nil {
 		t.Fatal(err)
 	}
-	if len(ws) != 1 || ws[0].Static || !ws[0].Alive || ws[0].PoolWidth != 2 {
-		t.Errorf("workerz after dynamic registration = %+v, want one live dynamic worker with pool width 2", ws)
-	}
+	return mb
 }

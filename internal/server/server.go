@@ -105,8 +105,6 @@ func New(cfg config.ServerConfig, reg *metrics.Registry) (*Server, error) {
 	s.mux.HandleFunc("GET /storez", s.handleStorez)
 	s.mux.HandleFunc("GET /versionz", s.handleVersionz)
 	s.mux.HandleFunc("POST /fleet/shard", s.handleShard)
-	s.mux.HandleFunc("POST /fleet/register", s.handleFleetRegister)
-	s.mux.HandleFunc("GET /fleet/workerz", s.handleFleetWorkerz)
 
 	for i := 0; i < cfg.ResolvedWorkers(); i++ {
 		s.wg.Add(1)
@@ -265,8 +263,8 @@ func (s *Server) runJob(j *Job) {
 	j.finish(state, result, err, now)
 }
 
-// apiError is the JSON error body every non-2xx response carries.
-type apiError struct {
+// APIError is the JSON error body every non-2xx response carries.
+type APIError struct {
 	// Error is the human-readable message.
 	Error string `json:"error"`
 }
@@ -280,9 +278,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError sends an apiError.
+// writeError sends an APIError.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+	writeJSON(w, code, APIError{Error: fmt.Sprintf(format, args...)})
 }
 
 // handleSubmit accepts a JobSpec, queues it, and answers 202 with the job
@@ -301,7 +299,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if spec.Fleet && s.coordinator() == nil {
 		writeError(w, http.StatusBadRequest,
-			"bad job spec: fleet jobs need a coordinator (start the server with -coordinator)")
+			"bad job spec: fleet jobs need a coordinator (start the server with -fleet-workers)")
 		return
 	}
 
@@ -368,13 +366,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resultBody is the JSON shape of GET /jobs/{id}/result.
-type resultBody struct {
+// ResultBody is the JSON shape of GET /jobs/{id}/result.
+type ResultBody struct {
 	// ID and State identify the job and its terminal state.
 	ID string `json:"id"`
 	// State is the job's state at read time.
 	State JobState `json:"state"`
-	// Result is the kind-specific payload.
+	// Result is the kind-specific payload. A client decodes it into the
+	// expected type by setting Result to a pointer to that type first.
 	Result any `json:"result"`
 }
 
@@ -394,7 +393,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resultBody{ID: job.ID, State: StateDone, Result: res})
+	writeJSON(w, http.StatusOK, ResultBody{ID: job.ID, State: StateDone, Result: res})
 }
 
 // handleCancel cancels a job (queued or running) and answers its status.

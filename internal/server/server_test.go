@@ -89,7 +89,7 @@ func (s *testServer) submit(t *testing.T, spec JobSpec, wantCode int) JobStatus 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != wantCode {
-		var e apiError
+		var e APIError
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		t.Fatalf("submit: status %d, want %d (%s)", resp.StatusCode, wantCode, e.Error)
 	}
@@ -815,7 +815,7 @@ func TestSubmitRefusesRetiredEngineOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e apiError
+		var e APIError
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
@@ -837,7 +837,7 @@ func TestSubmitRefusesCoresBeyondBitset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e apiError
+		var e APIError
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "cores") {
@@ -861,7 +861,7 @@ func TestSubmitRefusesOversizedResamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e apiError
+	var e APIError
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "resamples") {
