@@ -2,51 +2,74 @@
 // SecDir paper (ISCA 2019). Each experiment is identified by the ID used in
 // DESIGN.md / EXPERIMENTS.md:
 //
-//	A1  §2.3   required directory associativity analysis
-//	F5  Fig 5  equal-storage VD sizing across core counts
-//	F6  Fig 6  AES T0-table trace on SecDir with VD only
-//	F7  Fig 7  SPEC mixes: normalized IPC and L2-miss breakdown
-//	F8  Fig 8  PARSEC: normalized time and L2-miss breakdown
-//	T6  Tab 6  Empty-Bit and cuckoo effectiveness
-//	T7  Tab 7  per-slice storage and area
-//	S1  §9     evict+reload / prime+probe attack comparison
+//	A1   §2.3    required directory associativity analysis
+//	F5   Fig 5   equal-storage VD sizing across core counts
+//	F6   Fig 6   AES T0-table trace on SecDir with VD only
+//	F7   Fig 7   SPEC mixes: normalized IPC and L2-miss breakdown
+//	F8   Fig 8   PARSEC: normalized time and L2-miss breakdown
+//	T6   Tab 6   Empty-Bit and cuckoo effectiveness
+//	T7   Tab 7   per-slice storage and area
+//	S1   §9      evict+reload / prime+probe attack comparison
+//	SC   §4.1    the attack and the VD sizing from 8 to 64 cores
+//	ALT  §1/§11  way-partitioned and randomized alternatives vs. SecDir
+//
+// Each table is printed as text; -csv DIR also writes it to DIR under the
+// file name data/ uses, byte-identical to the committed copy at the default
+// lengths.
 //
 // Usage:
 //
-//	secdir-experiments -run all
+//	secdir-experiments -run all -csv data
 //	secdir-experiments -run F7,T6 -measure 300000
 package main
 
 import (
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
+	"text/tabwriter"
 
 	"secdir/internal/experiments"
+	"secdir/internal/golden"
 	"secdir/internal/metrics"
 )
 
-var csvDir string
+// maxPrinted bounds the text rendering of a table; the CSV always holds
+// every row.
+const maxPrinted = 40
 
 func main() {
-	runList := flag.String("run", "all", "comma-separated experiment IDs (A1,F5,F6,F7,F8,T6,T7,S1,SC,ALT) or 'all'")
+	runList := flag.String("run", "all", "comma-separated experiment IDs or 'all'; IDs: "+strings.Join(experiments.IDs(), ","))
 	warmup := flag.Uint64("warmup", 150_000, "warmup accesses per core")
 	measure := flag.Uint64("measure", 150_000, "measured accesses per core")
-	cores := flag.Int("cores", 8, "number of cores (power of two)")
+	cores := flag.Int("cores", 8, "number of cores (power of two, at most 64)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	parallel := flag.Bool("parallel", true, "fan simulations out across CPU cores (-parallel=false forces serial; results are identical either way)")
-	flag.StringVar(&csvDir, "csv", "", "also write per-experiment CSV data files into this directory")
+	csvDir := flag.String("csv", "", "also write each table as a CSV file into this directory")
 	mflags := metrics.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
+	o := experiments.RunOpts{Warmup: *warmup, Measure: *measure, Cores: *cores, Seed: *seed}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	arts := experiments.Artifacts
+	if *runList != "all" {
+		arts = nil
+		for _, id := range strings.Split(*runList, ",") {
+			a, err := experiments.Lookup(strings.ToUpper(strings.TrimSpace(id)))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			arts = append(arts, a)
+		}
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -55,328 +78,45 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	reg := mflags.Registry()
+	// The registry is goroutine-safe, so parallel sweeps share it and
+	// aggregate into the same counters.
+	o.Metrics = mflags.Registry()
 
-	// The registry is goroutine-safe, so metrics no longer force serial
-	// execution: parallel sweeps share one registry and aggregate into the
-	// same counters.
-	ctx := context.Background()
-	o := experiments.RunOpts{Warmup: *warmup, Measure: *measure, Cores: *cores, Seed: *seed, Metrics: reg}
-	if !*parallel {
-		o.Workers = 1
-	}
-
-	all := map[string]func(context.Context, experiments.RunOpts) error{
-		"A1": runA1, "F5": runF5, "F6": runF6, "F7": runF7,
-		"F8": runF8, "T6": runT6, "T7": runT7, "S1": runS1,
-		"SC": runSC, "ALT": runALT,
-	}
-	var ids []string
-	if *runList == "all" {
-		for id := range all {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-	} else {
-		for _, id := range strings.Split(*runList, ",") {
-			ids = append(ids, strings.ToUpper(strings.TrimSpace(id)))
-		}
-	}
-	for _, id := range ids {
-		fn, ok := all[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
-		}
-		if err := fn(ctx, o); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+	for _, a := range arts {
+		if err := run(a, o, *csvDir); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.ID, err)
 			os.Exit(1)
 		}
 	}
-	if err := mflags.Finish(reg); err != nil {
+	if err := mflags.Finish(o.Metrics); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-}
-
-// writeCSV emits one experiment's data file when -csv is set.
-func writeCSV(name string, head []string, rows [][]string) error {
+// run builds one table, prints it and, with csvDir set, writes its CSV.
+func run(a experiments.Artifact, o experiments.RunOpts, csvDir string) error {
+	head, rows, err := experiments.Table(context.Background(), a.ID, o)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("\n=== %s — %s ===\n", a.ID, a.Title)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(head, "\t"))
+	for i, r := range rows {
+		if i == maxPrinted {
+			break
+		}
+		fmt.Fprintln(tw, strings.Join(r, "\t"))
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	if len(rows) > maxPrinted {
+		fmt.Printf("... %d rows in total (first %d shown)\n", len(rows), maxPrinted)
+	}
 	if csvDir == "" {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(csvDir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write(head); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.WriteAll(rows); err != nil {
-		f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
-func itoa(v int) string     { return strconv.Itoa(v) }
-func utoa(v uint64) string  { return strconv.FormatUint(v, 10) }
-
-func runA1(context.Context, experiments.RunOpts) error {
-	header("A1 — §2.3: directory associativity required to resist a conflict attack")
-	fmt.Printf("%-8s %-34s %s\n", "cores", "required (W_L2*(N-1)+W_LLC)", "provided (W_TD+W_ED)")
-	var rows [][]string
-	for _, r := range experiments.AssociativityAnalysis() {
-		fmt.Printf("%-8d %-34d %d\n", r.Cores, r.Required, r.Provided)
-		rows = append(rows, []string{itoa(r.Cores), itoa(r.Required), itoa(r.Provided)})
-	}
-	return writeCSV("A1_associativity", []string{"cores", "required", "provided"}, rows)
-}
-
-func runF5(context.Context, experiments.RunOpts) error {
-	header("F5 — Figure 5: #per-core VD entries / #L2 lines (equal storage to Skylake-X)")
-	fmt.Printf("%-8s", "cores")
-	for wED := 6; wED <= 10; wED++ {
-		fmt.Printf("  W_ED=%-4d", wED)
-	}
-	fmt.Println()
-	for _, r := range experiments.Fig5VDSizing() {
-		fmt.Printf("%-8d", r.Cores)
-		for wED := 6; wED <= 10; wED++ {
-			fmt.Printf("  %-9.2f", r.Ratios[wED])
-		}
-		fmt.Println()
-	}
-	// The CSV rendering is shared with the golden test in
-	// internal/experiments, which diffs it against data/F5_vd_sizing.csv.
-	head, rows := experiments.CSVF5()
-	return writeCSV("F5_vd_sizing", head, rows)
-}
-
-func runF6(ctx context.Context, o experiments.RunOpts) error {
-	header("F6 — Figure 6: AES T0 accesses on SecDir with VD only (no ED/TD)")
-	res, err := experiments.Fig6AESTrace(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("T0 accesses: %d total, %d main-memory (cold first touches), %d L1/L2 hits, %d directory refetches\n",
-		len(res.Points), res.MemAccesses, res.L1L2Hits, res.VDOrEDTD)
-	fmt.Println("first access per line (cycle, line):")
-	seen := map[int]bool{}
-	for _, p := range res.Points {
-		if p.MemAccess && !seen[p.LineIndex] {
-			seen[p.LineIndex] = true
-			fmt.Printf("  cycle %8d  line 0x%04x (T0[%2d])  memory access\n",
-				p.Cycle, 0x3200+p.LineIndex*64, p.LineIndex)
-		}
-	}
-	fmt.Printf("defense holds: all %d subsequent accesses hit the private caches\n", res.L1L2Hits)
-	var rows [][]string
-	for _, p := range res.Points {
-		cls := "l1l2"
-		if p.MemAccess {
-			cls = "memory"
-		}
-		rows = append(rows, []string{utoa(p.Cycle), itoa(p.LineIndex), cls})
-	}
-	return writeCSV("F6_aes_trace", []string{"cycle", "t0_line", "class"}, rows)
-}
-
-func perfTable(rows []experiments.PerfRow, timeMetric bool) {
-	metric := "normIPC"
-	if timeMetric {
-		metric = "normTime"
-	}
-	fmt.Printf("%-14s %8s %9s | %33s | %33s\n", "workload", metric, "normMiss",
-		"baseline misses (edtd/vd/mem)", "secdir misses (edtd/vd/mem)")
-	var sumIPC, sumMiss float64
-	for _, r := range rows {
-		m := r.NormIPC
-		if timeMetric {
-			m = r.NormTime
-		}
-		fmt.Printf("%-14s %8.4f %9.4f | %12d %8d %10d | %12d %8d %10d\n",
-			r.Name, m, r.NormMisses,
-			r.Baseline.EDTDHits, r.Baseline.VDHits, r.Baseline.MemAccess,
-			r.SecDir.EDTDHits, r.SecDir.VDHits, r.SecDir.MemAccess)
-		sumIPC += m
-		sumMiss += r.NormMisses
-	}
-	n := float64(len(rows))
-	fmt.Printf("%-14s %8.4f %9.4f\n", "average", sumIPC/n, sumMiss/n)
-}
-
-func runF7(ctx context.Context, o experiments.RunOpts) error {
-	header("F7 — Figure 7: SPEC mixes (normalized IPC, L2-miss breakdown)")
-	rows, err := experiments.Fig7SPECMixes(ctx, o)
-	if err != nil {
-		return err
-	}
-	perfTable(rows, false)
-	return writeCSV("F7_spec", perfCSVHead, perfCSVRows(rows, false))
-}
-
-func runF8(ctx context.Context, o experiments.RunOpts) error {
-	header("F8 — Figure 8: PARSEC (normalized execution time, L2-miss breakdown)")
-	rows, err := experiments.Fig8PARSEC(ctx, o)
-	if err != nil {
-		return err
-	}
-	perfTable(rows, true)
-	return writeCSV("F8_parsec", perfCSVHead, perfCSVRows(rows, true))
-}
-
-var perfCSVHead = []string{"workload", "norm_perf", "norm_misses",
-	"base_edtd", "base_vd", "base_mem", "sec_edtd", "sec_vd", "sec_mem",
-	"base_inclusion_victims", "sec_inclusion_victims"}
-
-func perfCSVRows(rows []experiments.PerfRow, timeMetric bool) [][]string {
-	var out [][]string
-	for _, r := range rows {
-		m := r.NormIPC
-		if timeMetric {
-			m = r.NormTime
-		}
-		out = append(out, []string{
-			r.Name, ftoa(m), ftoa(r.NormMisses),
-			utoa(r.Baseline.EDTDHits), utoa(r.Baseline.VDHits), utoa(r.Baseline.MemAccess),
-			utoa(r.SecDir.EDTDHits), utoa(r.SecDir.VDHits), utoa(r.SecDir.MemAccess),
-			utoa(r.BaselineInclusionVictims), utoa(r.SecDirInclusionVictims),
-		})
-	}
-	return out
-}
-
-func runT6(ctx context.Context, o experiments.RunOpts) error {
-	header("T6 — Table 6: Empty Bit (EBVD/NoEBVD) and cuckoo (CKVD/NoCKVD)")
-	spec, err := experiments.Table6SPEC(ctx, o)
-	if err != nil {
-		return err
-	}
-	parsec, err := experiments.Table6PARSEC(ctx, o)
-	if err != nil {
-		return err
-	}
-	var csvRows [][]string
-	print := func(rows []experiments.T6Row, label string) {
-		fmt.Printf("%s\n%-14s %12s %12s\n", label, "workload", "EBVD/NoEBVD", "CKVD/NoCKVD")
-		var sumEB, sumCK float64
-		for _, r := range rows {
-			fmt.Printf("%-14s %12.2f %12.2f\n", r.Name, r.EBRatio, r.CKRatio)
-			sumEB += r.EBRatio
-			sumCK += r.CKRatio
-			csvRows = append(csvRows, []string{r.Name, ftoa(r.EBRatio), ftoa(r.CKRatio)})
-		}
-		n := float64(len(rows))
-		fmt.Printf("%-14s %12.2f %12.2f\n", "average", sumEB/n, sumCK/n)
-	}
-	print(spec, "SPEC mixes:")
-	print(parsec, "PARSEC applications:")
-	return writeCSV("T6_vd_features", []string{"workload", "eb_ratio", "ck_ratio"}, csvRows)
-}
-
-func runT7(ctx context.Context, o experiments.RunOpts) error {
-	header("T7 — Table 7: per-slice directory storage and area (CACTI-fitted model)")
-	fmt.Printf("%-10s %-10s %10s %10s\n", "design", "structure", "KB", "mm^2")
-	var baseKB, secKB, baseMM, secMM float64
-	for _, r := range experiments.Table7StorageArea(o.Cores) {
-		fmt.Printf("%-10s %-10s %10.2f %10.3f\n", r.Design, r.Structure, r.KB, r.MM2)
-		if r.Structure == "Total" {
-			if r.Design == "baseline" {
-				baseKB, baseMM = r.KB, r.MM2
-			} else {
-				secKB, secMM = r.KB, r.MM2
-			}
-		}
-	}
-	fmt.Printf("SecDir adds %.1f KB (+%.1f%%) and %.3f mm^2 (+%.1f%%) per slice\n",
-		secKB-baseKB, (secKB/baseKB-1)*100, secMM-baseMM, (secMM/baseMM-1)*100)
-	// The CSV rendering is shared with the golden test in
-	// internal/experiments, which diffs it against data/T7_storage_area.csv.
-	head, rows := experiments.CSVT7(o.Cores)
-	return writeCSV("T7_storage_area", head, rows)
-}
-
-func runS1(ctx context.Context, o experiments.RunOpts) error {
-	header("S1 — §9: conflict-based directory attacks against both designs")
-	res, err := experiments.SecurityAttack(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-34s %12s %12s\n", "metric", "baseline", "secdir")
-	fmt.Printf("%-34s %12.2f %12.2f\n", "evict+reload accuracy (0.5=chance)", res.BaselineAccuracy, res.SecDirAccuracy)
-	fmt.Printf("%-34s %9d/%-2d %9d/%-2d\n", "conflict-step victim evictions",
-		res.BaselineVictimEvictions, res.Rounds, res.SecDirVictimEvictions, res.Rounds)
-	fmt.Printf("%-34s %12.2f %12.2f\n", "prime+probe signal (misses/round)", res.BaselineSignal, res.SecDirSignal)
-	fmt.Printf("%-34s %12d %12d\n", "victim inclusion victims", res.BaselineInclusionVictims, res.SecDirInclusionVictims)
-	rows := [][]string{
-		{"evict_reload_accuracy", ftoa(res.BaselineAccuracy), ftoa(res.SecDirAccuracy)},
-		{"victim_evictions", itoa(res.BaselineVictimEvictions), itoa(res.SecDirVictimEvictions)},
-		{"prime_probe_signal", ftoa(res.BaselineSignal), ftoa(res.SecDirSignal)},
-		{"inclusion_victims", utoa(res.BaselineInclusionVictims), utoa(res.SecDirInclusionVictims)},
-	}
-	return writeCSV("S1_security", []string{"metric", "baseline", "secdir"}, rows)
-}
-
-func runSC(ctx context.Context, o experiments.RunOpts) error {
-	header("SC — scaling: the attack vs. core count (§2.3, §4.1)")
-	rows, err := experiments.Scaling(ctx, o, 64)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-7s %9s %10s %9s %11s | %21s | %21s\n",
-		"cores", "reqAssoc", "VD/core", "L2lines", "ΔKB/slice", "baseline acc/evicted", "secdir acc/evicted")
-	var csvRows [][]string
-	for _, r := range rows {
-		fmt.Printf("%-7d %9d %10d %9d %11.1f | %10.2f %8d | %10.2f %8d\n",
-			r.Cores, r.RequiredAssoc, r.VDEntriesPerCore, r.L2Lines, r.StorageDeltaKB,
-			r.BaselineAccuracy, r.BaselineVictimEvictions, r.SecDirAccuracy, r.SecDirVictimEvictions)
-		csvRows = append(csvRows, []string{
-			itoa(r.Cores), itoa(r.RequiredAssoc), itoa(r.VDEntriesPerCore), itoa(r.L2Lines),
-			ftoa(r.StorageDeltaKB), ftoa(r.BaselineAccuracy), itoa(r.BaselineVictimEvictions),
-			ftoa(r.SecDirAccuracy), itoa(r.SecDirVictimEvictions),
-		})
-	}
-	return writeCSV("SC_scaling", []string{"cores", "required_assoc", "vd_per_core", "l2_lines",
-		"storage_delta_kb", "base_accuracy", "base_evictions", "sec_accuracy", "sec_evictions"}, csvRows)
-}
-
-func runALT(ctx context.Context, o experiments.RunOpts) error {
-	header("ALT — §1/§11 design space: secure-directory alternatives (mix2 + two attacks)")
-	rows, err := experiments.Alternatives(ctx, o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-16s %10s %12s | %21s | %21s\n", "design", "IPC", "L2 misses",
-		"targeted acc/evicted", "flood acc/evicted")
-	var csvRows [][]string
-	for _, r := range rows {
-		if !r.Buildable {
-			fmt.Printf("%-16s %s\n", r.Design, "UNBUILDABLE at this core count (cores > directory ways)")
-			csvRows = append(csvRows, []string{r.Design, "unbuildable", "", "", "", "", ""})
-			continue
-		}
-		fmt.Printf("%-16s %10.4f %12d | %10.2f %7d/40 | %10.2f %7d/10\n",
-			r.Design, r.IPC, r.L2Misses, r.AttackAccuracy, r.VictimEvictions,
-			r.FloodAccuracy, r.FloodEvictions)
-		csvRows = append(csvRows, []string{r.Design, ftoa(r.IPC), utoa(r.L2Misses),
-			ftoa(r.AttackAccuracy), itoa(r.VictimEvictions),
-			ftoa(r.FloodAccuracy), itoa(r.FloodEvictions)})
-	}
-	fmt.Println("way partitioning is secure but conflict-bound and unbuildable beyond 11 cores;")
-	fmt.Println("randomization stops the targeted attack but only slows the flood (§11);")
-	fmt.Println("SecDir blocks both structurally at baseline-like performance.")
-	return writeCSV("ALT_designs", []string{"design", "ipc", "l2_misses",
-		"targeted_accuracy", "targeted_evictions", "flood_accuracy", "flood_evictions"}, csvRows)
+	return os.WriteFile(filepath.Join(csvDir, a.File), golden.Encode(head, rows), 0o644)
 }

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the SecDir
 // paper's evaluation (§7, §9, §10): each exported function is one experiment
-// and returns typed rows that the cmd/secdir-experiments tool (and the
-// repository benchmarks) format. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// and returns typed rows (the repository benchmarks call them directly), and
+// Table renders any experiment, by its ID in Artifacts, as the header and
+// string rows that cmd/secdir-experiments prints, the job server returns and
+// data/ pins. See DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-vs-measured results.
 package experiments
 
 import (

@@ -1,89 +1,36 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/csv"
+	"context"
 	"flag"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"secdir/internal/golden"
 )
 
 // update rewrites the golden CSVs under data/ instead of diffing against
 // them: go test ./internal/experiments -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite the golden CSV files in data/")
 
-// renderCSV produces the exact byte content of a data/ CSV file.
-func renderCSV(t *testing.T, head []string, rows [][]string) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(head); err != nil {
-		t.Fatal(err)
+// TestGolden pins the cheap artifacts to their committed CSVs at the paper's
+// lengths (DefaultRunOpts): the analytic A1/F5/T7 models and the F6 trace,
+// S1 attack and SC scaling simulations. Any change to the model they
+// exercise shows up here as a line diff before it silently shifts the
+// paper's numbers. F7, F8, T6 and ALT cost about 90 s together and are
+// pinned by the paper-artifacts CI job, which regenerates all ten files
+// with secdir-experiments -run all -csv data and diffs data/.
+func TestGolden(t *testing.T) {
+	for _, id := range []string{"A1", "F5", "F6", "T7", "S1", "SC"} {
+		t.Run(id, func(t *testing.T) {
+			a, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, rows, err := Table(context.Background(), id, DefaultRunOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, a.File, head, rows, *update)
+		})
 	}
-	if err := w.WriteAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// checkGolden regenerates one committed CSV and diffs it line by line, or
-// rewrites it under -update.
-func checkGolden(t *testing.T, name string, head []string, rows [][]string) {
-	t.Helper()
-	path := filepath.Join("..", "..", "data", name)
-	got := renderCSV(t, head, rows)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create it): %v", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl := strings.Split(strings.TrimRight(string(got), "\n"), "\n")
-	wl := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	n := len(gl)
-	if len(wl) > n {
-		n = len(wl)
-	}
-	for i := 0; i < n; i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Errorf("%s line %d:\n  regenerated: %q\n  committed:   %q", name, i+1, g, w)
-		}
-	}
-	t.Fatalf("%s diverges from the committed golden file (re-run with -update after an intentional model change)", name)
-}
-
-// TestGoldenF5 pins the Figure 5 VD-sizing model to the committed CSV: any
-// change to the equal-storage arithmetic in internal/area shows up as a diff
-// here before it silently shifts the paper's figures.
-func TestGoldenF5(t *testing.T) {
-	head, rows := CSVF5()
-	checkGolden(t, "F5_vd_sizing.csv", head, rows)
-}
-
-// TestGoldenT7 pins the Table 7 storage/area model (CACTI fit) for the 8-core
-// design point to the committed CSV.
-func TestGoldenT7(t *testing.T) {
-	head, rows := CSVT7(8)
-	checkGolden(t, "T7_storage_area.csv", head, rows)
 }

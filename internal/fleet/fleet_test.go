@@ -6,20 +6,17 @@
 package fleet_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/csv"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"secdir/internal/config"
 	"secdir/internal/fleet"
+	"secdir/internal/golden"
 	"secdir/internal/metrics"
 	"secdir/internal/server"
 )
@@ -68,46 +65,6 @@ func newCoordinator(t *testing.T, cfg fleet.Config) *fleet.Coordinator {
 		_ = c.Drain(ctx)
 	})
 	return c
-}
-
-// assertGolden renders (head, rows) exactly as the golden writers do and
-// byte-compares against the committed CSV under data/.
-func assertGolden(t *testing.T, name string, head []string, rows [][]string) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(head); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	got := buf.Bytes()
-
-	path := filepath.Join("..", "..", "data", name)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden %s: %v", path, err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl := bytes.Split(bytes.TrimRight(got, "\n"), []byte("\n"))
-	wl := bytes.Split(bytes.TrimRight(want, "\n"), []byte("\n"))
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w0 []byte
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w0 = wl[i]
-		}
-		if !bytes.Equal(g, w0) {
-			t.Errorf("%s line %d:\n  fleet : %s\n  golden: %s", name, i+1, g, w0)
-		}
-	}
-	t.Fatalf("fleet result diverges from golden %s", name)
 }
 
 // TestFleetReproducesLeakGolden sweeps the golden leak grid through fleets
@@ -169,7 +126,7 @@ func TestFleetReproducesLeakGolden(t *testing.T) {
 			}
 
 			head, rows := rep.CSV()
-			assertGolden(t, "leakage_verdicts.csv", head, rows)
+			golden.Check(t, "leakage_verdicts.csv", head, rows, false)
 
 			// Progress climbs monotonically per stage to the stage's slice of
 			// the sweep total, matching the local job runner's convention.
@@ -294,7 +251,7 @@ func TestFleetLeaderboardGoldenSurvivesWorkerKill(t *testing.T) {
 	}
 
 	head, rows := lb.CSV()
-	assertGolden(t, "leaderboard.csv", head, rows)
+	golden.Check(t, "leaderboard.csv", head, rows, false)
 
 	if retried, requeued := reg.Counter("fleet/shards_retried").Value(),
 		reg.Counter("fleet/shards_requeued").Value(); retried+requeued == 0 {

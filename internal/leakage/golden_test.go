@@ -1,15 +1,12 @@
 package leakage
 
 import (
-	"bytes"
 	"context"
-	"encoding/csv"
 	"flag"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"secdir/internal/golden"
 )
 
 // update rewrites the golden verdict CSV under data/ instead of diffing:
@@ -67,56 +64,5 @@ func TestGoldenVerdicts(t *testing.T) {
 		}
 	}
 	head, rows := rep.CSV()
-	checkGolden(t, "leakage_verdicts.csv", head, rows)
-}
-
-// checkGolden regenerates one committed CSV under data/ and diffs it line by
-// line, or rewrites it under -update (same contract as the experiments
-// package's F5/T7 goldens).
-func checkGolden(t *testing.T, name string, head []string, rows [][]string) {
-	t.Helper()
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(head); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.Bytes()
-
-	path := filepath.Join("..", "..", "data", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create it): %v", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl := strings.Split(strings.TrimRight(string(got), "\n"), "\n")
-	wl := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Errorf("%s line %d:\n  regenerated: %q\n  committed:   %q", name, i+1, g, w)
-		}
-	}
-	t.Fatalf("%s diverges from the committed golden file (re-run with -update after an intentional model change)", name)
+	golden.Check(t, "leakage_verdicts.csv", head, rows, *update)
 }

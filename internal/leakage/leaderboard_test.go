@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"secdir/internal/golden"
 )
 
 // Leaderboard sampling parameters: lighter than the headline golden (six
@@ -60,7 +62,7 @@ func TestLeaderboardGolden(t *testing.T) {
 		}
 	}
 	head, rows := lb.CSV()
-	checkGolden(t, "leaderboard.csv", head, rows)
+	golden.Check(t, "leaderboard.csv", head, rows, *update)
 }
 
 // TestLeaderboardWorkerInvariance re-runs one leaderboard cell at 1 worker

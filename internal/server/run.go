@@ -200,13 +200,16 @@ func replayConfig(design string, cores int, seed int64) (config.Config, error) {
 	return cfg, nil
 }
 
-// ExperimentResult pairs one experiment ID with its typed rows; the concrete
-// row type depends on the experiment (see package experiments).
+// ExperimentResult is one experiment's table, exactly as experiments.Table
+// builds it: golden.Encode(Header, Rows) is byte-identical to the CSV that
+// secdir-experiments -csv writes and data/ pins.
 type ExperimentResult struct {
-	// ID is the experiment identifier (A1..ALT).
+	// ID is the experiment identifier (see experiments.Artifacts).
 	ID string `json:"id"`
-	// Rows is the experiment's output, JSON-encoded per its row type.
-	Rows any `json:"rows"`
+	// Header names the table's columns.
+	Header []string `json:"header"`
+	// Rows holds the table's cells, one slice per row, as strings.
+	Rows [][]string `json:"rows"`
 }
 
 // Run executes a normalized spec under ctx, registering engine instruments in
@@ -299,7 +302,7 @@ func gridProgress(configs, strategies []string, trials int, progress ProgressFun
 	}
 }
 
-// runExperiments dispatches the requested experiment IDs.
+// runExperiments builds the table of each requested experiment.
 func runExperiments(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
 	o := experiments.RunOpts{
 		Warmup:  spec.Warmup,
@@ -309,48 +312,14 @@ func runExperiments(ctx context.Context, spec JobSpec, reg *metrics.Registry, pr
 		Metrics: reg,
 	}
 	out := make([]ExperimentResult, 0, len(spec.Experiments))
-	total := len(spec.Experiments)
 	for i, id := range spec.Experiments {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var rows any
-		var err error
-		switch id {
-		case "A1":
-			rows = experiments.AssociativityAnalysis()
-		case "F5":
-			rows = experiments.Fig5VDSizing()
-		case "F6":
-			rows, err = experiments.Fig6AESTrace(ctx, o)
-		case "F7":
-			rows, err = experiments.Fig7SPECMixes(ctx, o)
-		case "F8":
-			rows, err = experiments.Fig8PARSEC(ctx, o)
-		case "T6":
-			var s, p []experiments.T6Row
-			if s, err = experiments.Table6SPEC(ctx, o); err == nil {
-				if p, err = experiments.Table6PARSEC(ctx, o); err == nil {
-					rows = append(s, p...)
-				}
-			}
-		case "T7":
-			rows = experiments.Table7StorageArea(spec.Cores)
-		case "S1":
-			rows, err = experiments.SecurityAttack(ctx, o)
-		case "SC":
-			rows, err = experiments.Scaling(ctx, o, 64)
-		case "ALT":
-			rows, err = experiments.Alternatives(ctx, o)
-		default:
-			err = fmt.Errorf("unknown experiment %q", id)
-		}
+		head, rows, err := experiments.Table(ctx, id, o)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", id, err)
 		}
-		out = append(out, ExperimentResult{ID: id, Rows: rows})
+		out = append(out, ExperimentResult{ID: id, Header: head, Rows: rows})
 		if progress != nil {
-			progress(id, i+1, total)
+			progress(id, i+1, len(spec.Experiments))
 		}
 	}
 	return out, nil

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"secdir/internal/config"
+	"secdir/internal/experiments"
+	"secdir/internal/golden"
 	"secdir/internal/leakage"
 	"secdir/internal/metrics"
 )
@@ -306,6 +308,29 @@ func TestCancelWhileQueued(t *testing.T) {
 	// The canceled-while-queued job must never transition to running.
 	if st := s.getStatus(t, queued.ID); st.State != StateCanceled || !st.Started.IsZero() {
 		t.Fatalf("queued job ran anyway: %+v", st)
+	}
+}
+
+// TestExperimentJobMatchesData: an experiment job's result is the same table
+// secdir-experiments -csv writes, so each result encodes byte-identical to
+// its committed data/ file.
+func TestExperimentJobMatchesData(t *testing.T) {
+	s := newTestServer(t, quickConfig())
+	st := s.submit(t, JobSpec{Kind: KindExperiment, Experiments: []string{"A1", "F5", "T7"}}, 0)
+	s.waitState(t, st.ID, StateDone, 30*time.Second)
+	var body struct {
+		Result []ExperimentResult `json:"result"`
+	}
+	s.getResult(t, st.ID, &body)
+	if len(body.Result) != 3 {
+		t.Fatalf("got %d results, want 3", len(body.Result))
+	}
+	for _, r := range body.Result {
+		a, err := experiments.Lookup(r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden.Check(t, a.File, r.Header, r.Rows, false)
 	}
 }
 

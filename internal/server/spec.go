@@ -15,6 +15,7 @@ import (
 
 	"secdir/internal/addr"
 	"secdir/internal/config"
+	"secdir/internal/experiments"
 	"secdir/internal/leakage"
 	"secdir/internal/trace"
 )
@@ -24,7 +25,7 @@ type JobKind string
 
 const (
 	// KindExperiment reruns one or more of the paper's experiments
-	// (A1,F5,F6,F7,F8,T6,T7,S1,SC,ALT) — the F5/F6/T7-style jobs.
+	// (experiments.Artifacts) and returns each one's table.
 	KindExperiment JobKind = "experiment"
 	// KindAttack mounts the §2.2/§9 attack suite (evict+reload, prime+probe,
 	// evict+time, AES key recovery) against one or both directory designs.
@@ -41,10 +42,6 @@ const (
 	// and joins each defense's deterministic performance and cost columns.
 	KindLeaderboard JobKind = "leaderboard"
 )
-
-// ExperimentIDs lists the accepted experiment identifiers, in the canonical
-// order DESIGN.md uses.
-var ExperimentIDs = []string{"A1", "F5", "F6", "F7", "F8", "T6", "T7", "S1", "SC", "ALT"}
 
 // JobSpec is the JSON body of a job submission. Zero fields take defaults in
 // Normalize; Kind is mandatory.
@@ -124,16 +121,12 @@ func (s *JobSpec) Normalize() error {
 	switch s.Kind {
 	case KindExperiment:
 		if len(s.Experiments) == 0 {
-			s.Experiments = append([]string(nil), ExperimentIDs...)
-		}
-		known := map[string]bool{}
-		for _, id := range ExperimentIDs {
-			known[id] = true
+			s.Experiments = experiments.IDs()
 		}
 		for i, id := range s.Experiments {
 			id = strings.ToUpper(strings.TrimSpace(id))
-			if !known[id] {
-				return fmt.Errorf("unknown experiment %q (want one of %s)", id, strings.Join(ExperimentIDs, ","))
+			if _, err := experiments.Lookup(id); err != nil {
+				return err
 			}
 			s.Experiments[i] = id
 		}

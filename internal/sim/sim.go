@@ -141,20 +141,6 @@ func vdSelfConflicts(e *coherence.Engine) uint64 {
 // the per-access cost to one counter increment and mask.
 const cancelCheckEvery = 4096
 
-// genChunk is how many accesses are pregenerated per core at a time. Workload
-// generators are oblivious to simulation results, so their streams can be
-// produced ahead of the engine in tight refill loops that keep the generator
-// state hot instead of re-entering it between every engine access. The chunk
-// bounds the memory to a fixed buffer per core regardless of phase length.
-const genChunk = 4096
-
-// coreStream buffers one core's pregenerated accesses for the current phase.
-type coreStream struct {
-	buf  []trace.Access
-	pos  int
-	left uint64 // accesses of this phase not yet generated
-}
-
 // Run executes the warmup and measured phases and returns the result. It is
 // RunContext with a background context (which cannot be cancelled, so no
 // error can occur).
@@ -205,45 +191,13 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	// engine access, and clock arithmetic. The access ordering is identical
 	// to the per-access re-scan.
 	var sinceCheck uint64
-	streams := make([]coreStream, cores)
-	chunk := r.opts.WarmupAccesses
-	if r.opts.MeasureAccesses > chunk {
-		chunk = r.opts.MeasureAccesses
-	}
-	if chunk > genChunk {
-		chunk = genChunk
-	}
-	for c := range streams {
-		streams[c].buf = make([]trace.Access, 0, chunk)
-	}
 	gens := r.opts.Work.Gens
-	// refill regenerates core c's buffer from its generator, up to the
-	// phase remainder. Burst refills keep generator state hot.
-	refill := func(c int) {
-		s := &streams[c]
-		n := uint64(cap(s.buf))
-		if n > s.left {
-			n = s.left
-		}
-		buf := s.buf[:n]
-		g := gens[c]
-		for i := range buf {
-			buf[i] = g.Next()
-		}
-		s.buf, s.pos = buf, 0
-		s.left -= n
-	}
 	phase := func(target uint64, observe bool) error {
 		if target == 0 {
 			return nil
 		}
 		for c := range done {
 			done[c] = 0
-		}
-		for c := range streams {
-			streams[c].buf = streams[c].buf[:0]
-			streams[c].pos = 0
-			streams[c].left = target
 		}
 		remaining := cores
 		instrumented := observe && (r.opts.Observer != nil || ipcSeries != nil)
@@ -276,7 +230,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 				// must stay strictly below the runner-up's clock.
 				strict = best > moIdx
 			}
-			st := &streams[best]
+			g := gens[best]
 			ck := clocks[best]
 			ins := instrs[best]
 			dn := done[best]
@@ -293,11 +247,11 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 						return err
 					}
 				}
-				if st.pos == len(st.buf) {
-					refill(best)
-				}
-				a := st.buf[st.pos]
-				st.pos++
+				// Draw each access as it executes, never ahead: a workload's
+				// generators may share state (PARSEC threads share the
+				// window tick), so draws must interleave in simulated-time
+				// order across cores.
+				a := g.Next()
 				ck += uint64(a.Gap)
 				ins += uint64(a.Gap) + 1
 				res := r.Engine.Access(best, a.Line, a.Write)

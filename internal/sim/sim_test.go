@@ -176,3 +176,42 @@ func TestInterleavingIsClockOrdered(t *testing.T) {
 		t.Fatal("access budgets not honored")
 	}
 }
+
+// TestSharedGeneratorStateDrawnInSimOrder: generators of one workload may
+// share state (PARSEC threads advance one app-wide window tick), so the
+// runner must draw each access only when it executes. Every generator here
+// stamps its access with a shared sequence number; the observer must see the
+// stamps in exactly increasing order across all cores.
+func TestSharedGeneratorStateDrawnInSimOrder(t *testing.T) {
+	var seq addr.Line
+	gens := make([]trace.Generator, 4)
+	for c := range gens {
+		base := addr.Line(uint64(c+1) << 20)
+		gap := 1 + 2*c
+		gens[c] = trace.Func(func() trace.Access {
+			seq++
+			return trace.Access{Gap: gap, Line: base + seq}
+		})
+	}
+	var last addr.Line
+	r, err := New(Options{
+		Config:          smallCfg(),
+		Work:            trace.Workload{Name: "shared", Gens: gens},
+		WarmupAccesses:  300,
+		MeasureAccesses: 300,
+		Observer: func(core int, _ uint64, line addr.Line, _ bool, _ coherence.AccessResult) {
+			stamp := line - addr.Line(uint64(core+1)<<20)
+			if stamp != last+1 && last != 0 {
+				t.Fatalf("core %d executed draw %d after draw %d", core, stamp, last)
+			}
+			last = stamp
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	if last != 4*600 {
+		t.Fatalf("last draw = %d, want %d", last, 4*600)
+	}
+}
