@@ -115,15 +115,8 @@ func ls(b store.Backend, args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("ls takes no arguments")
 	}
-	recs, err := records(b)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("%4s  %-20s  %-11s %-22s %-8s %s\n", "idx", "time", "kind", "id", "state", "digest")
-	for _, rec := range recs {
-		fmt.Println(rec.String())
-	}
-	return nil
+	return scan(b, func(rec store.RunRecord) { fmt.Println(rec.String()) })
 }
 
 // show prints every record matching the index or job id, as indented JSON.
@@ -206,44 +199,34 @@ func pin(b store.Backend, args []string) error {
 	return nil
 }
 
-// records decodes the full ledger, tolerating nothing: a store that fails
-// here fails verify too.
-func records(b store.Backend) ([]store.RunRecord, error) {
-	lines, err := b.ReadLedger()
+// scan streams the ledger's records to fn, tolerating nothing: a store that
+// fails here fails verify too.
+func scan(b store.Backend, fn func(store.RunRecord)) error {
+	err := store.ScanRecords(b, func(rec store.RunRecord) error {
+		fn(rec)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("%w (run verify for a full audit)", err)
 	}
-	recs := make([]store.RunRecord, 0, len(lines))
-	for i, line := range lines {
-		rec, err := store.DecodeRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("ledger record %d: %w (run verify for a full audit)", i, err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
+	return nil
 }
 
 // match selects records by decimal chain index or by job id / name, in chain
 // order.
 func match(b store.Backend, id string) ([]store.RunRecord, error) {
-	recs, err := records(b)
-	if err != nil {
-		return nil, err
+	keep := func(rec store.RunRecord) bool { return rec.JobID == id || rec.Name == id }
+	if n, err := strconv.ParseInt(id, 10, 64); err == nil {
+		keep = func(rec store.RunRecord) bool { return rec.Index == n }
 	}
 	var out []store.RunRecord
-	if n, err := strconv.ParseInt(id, 10, 64); err == nil {
-		for _, rec := range recs {
-			if rec.Index == n {
-				out = append(out, rec)
-			}
+	err := scan(b, func(rec store.RunRecord) {
+		if keep(rec) {
+			out = append(out, rec)
 		}
-	} else {
-		for _, rec := range recs {
-			if rec.JobID == id || rec.Name == id {
-				out = append(out, rec)
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no record matches %q", id)

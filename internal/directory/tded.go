@@ -9,8 +9,10 @@ import (
 // migration mechanics they share between the baseline and SecDir designs.
 //
 // The TD is coupled to the LLC slice: TD ways == LLC ways and a TD entry owns
-// the corresponding LLC data slot (Meta.HasData). The TD uses LRU replacement;
-// the ED uses random replacement (§7).
+// the corresponding LLC data slot (Meta.HasData). Both the TD and the ED use
+// random replacement: §7 specifies it for the ED and leaves the TD open, and
+// LRU in the TD would shield recently consolidated shared entries from the
+// VD (DESIGN.md, Replacement).
 type TDED struct {
 	ED *cachesim.Cache[Meta]
 	TD *cachesim.Cache[Meta]
@@ -118,7 +120,8 @@ func (d *TDED) edVictimMeta(line addr.Line, m Meta) Meta {
 }
 
 // InsertTD places an entry in the TD, appending any disposal side effects to
-// Buf. A full set evicts the LRU entry, which is handed to the TDVictim hook.
+// Buf. A full set evicts a randomly chosen entry, which is handed to the
+// TDVictim hook.
 func (d *TDED) InsertTD(line addr.Line, m Meta) {
 	d.InsertTDAt(cachesim.Cursor{}, line, m)
 }

@@ -74,6 +74,13 @@ type JobStatus struct {
 // Job is one queued or running simulation request. All mutable state is
 // guarded by mu; the server mutates jobs from worker goroutines while HTTP
 // handlers read them.
+//
+// A job keeps for good only what its status, stream and result answers
+// need; live holds the rest. A failed, canceled or requeued job drops live
+// when it finishes. A done job keeps it, for its result, until the server
+// sheds the result once its terminal ledger record is durable; from then on
+// the result is read back from the store by digest. Without a store nothing
+// becomes durable, so a done job keeps its result in memory.
 type Job struct {
 	// ID is the server-assigned identifier.
 	ID string
@@ -85,18 +92,32 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	result    any
 	err       error
+	digest    string // a shed done job's result artifact
+	live      *jobLive
+	// marks are the job's progress events, reduced to the fields that vary
+	// (eventLocked rebuilds the rest). A finished job keeps the newest of
+	// each stage for as long as the server keeps the job.
+	marks []mark
+}
 
-	// ctx is the job's lifetime context; cancel aborts it. Both are set
-	// when the job is created so cancellation works while still queued.
+// jobLive is what a job needs only until it finishes or, for a done job,
+// until its result is durable.
+type jobLive struct {
+	// ctx is the job's lifetime context; cancel aborts it. Both exist from
+	// submission, so cancellation works while the job is still queued.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	seq    int
-	last   *Event
 	subs   map[chan Event]struct{}
-	events []Event
+	result any
+}
+
+// mark is one stored progress event. Every event is in state running but a
+// finished job's last, which carries the job's terminal state and error.
+type mark struct {
+	seq         int
+	stage       string
+	done, total int
 }
 
 // newJob builds a queued job owning ctx (whose cancel function is cancel).
@@ -106,9 +127,7 @@ func newJob(id string, spec JobSpec, ctx context.Context, cancel context.CancelF
 		Spec:      spec,
 		state:     StateQueued,
 		submitted: now,
-		ctx:       ctx,
-		cancel:    cancel,
-		subs:      map[chan Event]struct{}{},
+		live:      &jobLive{ctx: ctx, cancel: cancel},
 	}
 }
 
@@ -129,8 +148,8 @@ func (j *Job) statusLocked() JobStatus {
 		Started:   j.started,
 		Finished:  j.finished,
 	}
-	if j.last != nil {
-		e := *j.last
+	if n := len(j.marks); n > 0 {
+		e := j.eventLocked(n - 1)
 		st.Progress = &e
 	}
 	if j.err != nil {
@@ -140,18 +159,30 @@ func (j *Job) statusLocked() JobStatus {
 }
 
 // Result returns the job's result, or an error if it is not (successfully)
-// finished.
-func (j *Job) Result() (any, error) {
+// finished. A shed done job returns a nil result and the digest of the
+// durable artifact that holds it.
+func (j *Job) Result() (result any, digest string, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateDone:
-		return j.result, nil
+		if j.live != nil {
+			return j.live.result, "", nil
+		}
+		return nil, j.digest, nil
 	case StateFailed, StateCanceled, StateRequeued:
-		return nil, fmt.Errorf("job %s %s: %v", j.ID, j.state, j.err)
+		return nil, "", fmt.Errorf("job %s %s: %v", j.ID, j.state, j.err)
 	default:
-		return nil, fmt.Errorf("job %s is %s; no result yet", j.ID, j.state)
+		return nil, "", fmt.Errorf("job %s is %s; no result yet", j.ID, j.state)
 	}
+}
+
+// shed drops a done job's in-memory result once the result artifact named
+// digest is durable.
+func (j *Job) shed(digest string) {
+	j.mu.Lock()
+	j.live, j.digest = nil, digest
+	j.mu.Unlock()
 }
 
 // State returns the current lifecycle state.
@@ -168,6 +199,7 @@ func (j *Job) State() JobState {
 // and its error is returned. A running job's worker records its own end.
 func (j *Job) Cancel(now time.Time, record func(JobStatus) error) error {
 	var err error
+	var cancel context.CancelFunc
 	j.mu.Lock()
 	if j.state == StateQueued {
 		st := j.statusLocked()
@@ -175,8 +207,13 @@ func (j *Job) Cancel(now time.Time, record func(JobStatus) error) error {
 		err = record(st)
 		j.finishLocked(StateCanceled, nil, context.Canceled, now)
 	}
+	if j.live != nil {
+		cancel = j.live.cancel // nil once finished
+	}
 	j.mu.Unlock()
-	j.cancel()
+	if cancel != nil {
+		cancel()
+	}
 	return err
 }
 
@@ -185,30 +222,27 @@ func (j *Job) Cancel(now time.Time, record func(JobStatus) error) error {
 // already started is left alone.
 func (j *Job) requeue(now time.Time) bool {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	ok := j.state == StateQueued
 	if ok {
 		j.finishLocked(StateRequeued, nil,
 			fmt.Errorf("server draining before the job started; resubmit it"), now)
 	}
-	j.mu.Unlock()
-	if ok {
-		j.cancel()
-	}
 	return ok
 }
 
-// start transitions queued → running; returns false if the job was cancelled
-// while queued and must be discarded.
-func (j *Job) start(now time.Time) bool {
+// start transitions queued → running and returns the job's context; ok is
+// false if the job was cancelled while queued and must be discarded.
+func (j *Job) start(now time.Time) (ctx context.Context, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil, false
 	}
 	j.state = StateRunning
 	j.started = now
 	j.emitLocked(Event{State: StateRunning, Stage: "start"})
-	return true
+	return j.live.ctx, true
 }
 
 // finish records the terminal state, result and error, and emits the final
@@ -225,24 +259,29 @@ func (j *Job) finish(state JobState, result any, err error, now time.Time) {
 // finishLocked is finish with j.mu held.
 func (j *Job) finishLocked(state JobState, result any, err error, now time.Time) {
 	j.state = state
-	j.result = result
 	j.err = err
 	j.finished = now
 	e := Event{State: state, Stage: "finish"}
-	if j.last != nil {
-		e.Done, e.Total = j.last.Done, j.last.Total
+	if n := len(j.marks); n > 0 {
+		e.Done, e.Total = j.marks[n-1].done, j.marks[n-1].total
 	}
 	if err != nil {
 		e.Err = err.Error()
 	}
 	j.emitLocked(e)
-	j.events = compactEvents(j.events)
-	j.last = &j.events[len(j.events)-1]
-	// Terminal: wake the streamers and drop them.
-	for ch := range j.subs {
+	j.marks = compactMarks(j.marks)
+	// Terminal: wake the streamers and drop them, and release the context
+	// (the worker that ran the job is done with it). Only a done job's
+	// result outlives this.
+	live := j.live
+	for ch := range live.subs {
 		close(ch)
 	}
-	j.subs = map[chan Event]struct{}{}
+	live.cancel()
+	live.ctx, live.cancel, live.subs, live.result = nil, nil, nil, result
+	if state != StateDone {
+		j.live = nil
+	}
 }
 
 // progress records a stage completion and fans it out to subscribers.
@@ -255,37 +294,38 @@ func (j *Job) progress(stage string, done, total int) {
 	j.emitLocked(Event{State: j.state, Stage: stage, Done: done, Total: total})
 }
 
-// compactEvents keeps the last event of each stage, in sequence order — for
+// compactMarks keeps the last event of each stage, in sequence order — for
 // a finished job: start, one event per stage (a leak job's grid cell, an
 // experiment) and finish. A long job's per-trial progress would otherwise
 // stay in memory for as long as the server keeps the job. The result is a
 // new, exactly sized slice, so the old backing array is released.
-func compactEvents(events []Event) []Event {
+func compactMarks(marks []mark) []mark {
 	lastOf := make(map[string]int, 8)
-	for i, e := range events {
-		lastOf[e.Stage] = i
+	for i, m := range marks {
+		lastOf[m.stage] = i
 	}
-	out := make([]Event, 0, len(lastOf))
-	for i, e := range events {
-		if lastOf[e.Stage] == i {
-			out = append(out, e)
+	out := make([]mark, 0, len(lastOf))
+	for i, m := range marks {
+		if lastOf[m.stage] == i {
+			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// emitLocked stamps and stores an event and delivers it to subscribers
+// emitLocked numbers and stores an event and delivers it to subscribers
 // without blocking: when a slow stream reader's buffer is full the event is
 // dropped from its channel, never stalling the worker. The reader recovers
 // what it missed, the terminal event included, from EventsAfter once the
 // channel closes.
 func (j *Job) emitLocked(e Event) {
-	j.seq++
 	e.JobID = j.ID
-	e.Seq = j.seq
-	j.events = append(j.events, e)
-	j.last = &j.events[len(j.events)-1]
-	for ch := range j.subs {
+	e.Seq = 1
+	if n := len(j.marks); n > 0 {
+		e.Seq = j.marks[n-1].seq + 1 // compaction keeps the newest event
+	}
+	j.marks = append(j.marks, mark{seq: e.Seq, stage: e.Stage, done: e.Done, total: e.Total})
+	for ch := range j.live.subs {
 		select {
 		case ch <- e:
 		default:
@@ -293,13 +333,34 @@ func (j *Job) emitLocked(e Event) {
 	}
 }
 
+// eventLocked rebuilds stored event i; j.mu is held.
+func (j *Job) eventLocked(i int) Event {
+	m := j.marks[i]
+	e := Event{JobID: j.ID, Seq: m.seq, State: StateRunning, Stage: m.stage, Done: m.done, Total: m.total}
+	if i == len(j.marks)-1 && j.state.Terminal() {
+		e.State = j.state
+		if j.err != nil {
+			e.Err = j.err.Error()
+		}
+	}
+	return e
+}
+
+// eventsLocked rebuilds the stored events from index i on; j.mu is held.
+func (j *Job) eventsLocked(i int) []Event {
+	out := make([]Event, 0, len(j.marks)-i)
+	for ; i < len(j.marks); i++ {
+		out = append(out, j.eventLocked(i))
+	}
+	return out
+}
+
 // EventsAfter returns the retained events numbered after seq. Once the job
 // is terminal they end with its terminal event.
 func (j *Job) EventsAfter(seq int) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	i := sort.Search(len(j.events), func(i int) bool { return j.events[i].Seq > seq })
-	return append([]Event(nil), j.events[i:]...)
+	return j.eventsLocked(sort.Search(len(j.marks), func(i int) bool { return j.marks[i].seq > seq }))
 }
 
 // Subscribe returns the events emitted so far plus a channel delivering
@@ -308,7 +369,7 @@ func (j *Job) EventsAfter(seq int) []Event {
 func (j *Job) Subscribe() (history []Event, ch chan Event, unsub func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	history = append([]Event(nil), j.events...)
+	history = j.eventsLocked(0)
 	if j.state.Terminal() {
 		ch = make(chan Event)
 		close(ch)
@@ -317,12 +378,14 @@ func (j *Job) Subscribe() (history []Event, ch chan Event, unsub func()) {
 	// Buffered so emitLocked's non-blocking send usually lands; events it
 	// drops are recovered through EventsAfter.
 	ch = make(chan Event, 16)
-	j.subs[ch] = struct{}{}
+	live := j.live
+	if live.subs == nil {
+		live.subs = map[chan Event]struct{}{}
+	}
+	live.subs[ch] = struct{}{}
 	return history, ch, func() {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		if _, ok := j.subs[ch]; ok {
-			delete(j.subs, ch)
-		}
+		delete(live.subs, ch)
 	}
 }

@@ -51,6 +51,10 @@ type Server struct {
 	// failure, surfaced by /storez.
 	st           *store.Store
 	lastStoreErr string
+	// retiring queues done jobs, from retiredHead on, whose results stay in
+	// memory until their terminal records are durable (retire).
+	retiring    []retired
+	retiredHead int
 	// cum accumulates the per-job child registries of finished jobs.
 	cum metrics.Snapshot
 
@@ -197,10 +201,10 @@ func (s *Server) worker() {
 // runJob executes one job: per-job timeout, per-job child metrics registry,
 // terminal-state accounting, cumulative snapshot fold.
 func (s *Server) runJob(j *Job) {
-	if !j.start(time.Now()) {
+	ctx, ok := j.start(time.Now())
+	if !ok {
 		return // canceled while queued; Cancel recorded its end
 	}
-	ctx := j.ctx
 	if s.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
@@ -259,8 +263,11 @@ func (s *Server) runJob(j *Job) {
 	if err != nil {
 		st.Err = err.Error()
 	}
-	s.recordJob(st, result)
+	rec := s.recordJob(st, result)
 	j.finish(state, result, err, now)
+	if rec.ResultDigest != "" { // done, with the result recorded as an artifact
+		s.retire(j, rec)
+	}
 }
 
 // APIError is the JSON error body every non-2xx response carries.
@@ -384,7 +391,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if job == nil {
 		return
 	}
-	res, err := job.Result()
+	res, digest, err := job.Result()
 	if err != nil {
 		if job.State().Terminal() {
 			writeError(w, http.StatusGone, "%v", err)
@@ -392,6 +399,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, "%v", err)
 		}
 		return
+	}
+	if digest != "" {
+		// Shed: the artifact is durable, so it is read back without a
+		// flush. Its bytes are the canonical JSON of the result, which
+		// encodes exactly as the value did.
+		data, err := s.storeHandle().Backend().GetArtifact(digest)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		res = json.RawMessage(data)
 	}
 	writeJSON(w, http.StatusOK, ResultBody{ID: job.ID, State: StateDone, Result: res})
 }
@@ -411,7 +429,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // canceled instead of resubmitting it.
 func (s *Server) cancel(j *Job) {
 	st := s.storeHandle()
-	err := j.Cancel(time.Now(), func(js JobStatus) error { return appendJob(st, js, nil) })
+	err := j.Cancel(time.Now(), func(js JobStatus) error {
+		_, err := appendJob(st, js, nil)
+		return err
+	})
 	if err != nil {
 		s.noteStoreErr(err)
 	}

@@ -17,11 +17,13 @@ import (
 // This file is the server's provenance face: with a store attached
 // (AttachStore, secdir-serve -store-dir) every job lifecycle lands in the
 // hash-chained run ledger, completed results become content-addressed
-// artifacts, a restart replays the ledger — finished jobs answer
-// /jobs/{id}/result byte-identically again, jobs that were still queued are
-// re-submitted — and /storez exposes the chain head. /versionz serves the
-// binary's build info whether or not a store is attached: it is the same
-// store.BuildInfo struct every ledger record carries.
+// artifacts, a done job's result leaves memory once its record is durable
+// and is served from the store from then on, a restart replays the ledger —
+// finished jobs answer /jobs/{id}/result byte-identically again, jobs that
+// were still queued are re-submitted — and /storez exposes the chain head.
+// /versionz serves the binary's build info whether or not a store is
+// attached: it is the same store.BuildInfo struct every ledger record
+// carries.
 
 // StoreRecovery summarises what AttachStore replayed from the ledger.
 type StoreRecovery struct {
@@ -31,30 +33,31 @@ type StoreRecovery struct {
 	// Resubmitted lists the IDs of jobs that were queued or requeued when
 	// the previous process stopped and are now queued to run again.
 	Resubmitted []string
-	// Dropped lists jobs the replay could not recover (unparseable spec,
-	// missing artifact, queue full on resubmission), with reasons.
+	// Dropped lists jobs the replay could not recover (unparseable or
+	// invalid spec, missing artifact, a full or draining queue on
+	// resubmission), with reasons.
 	Dropped []string
 }
 
 // AttachStore attaches st and replays its ledger into the job table. Call
 // before serving traffic, at most once. Jobs whose last record is terminal
 // come back terminal (done jobs serve their recorded result artifact
-// byte-for-byte); jobs whose last record is "queued" or "requeued" are
-// re-submitted onto the queue under their original IDs.
+// byte-for-byte, read from the store on each request); jobs whose last
+// record is "queued" or "requeued" are re-submitted onto the queue under
+// their original IDs. The ledger is streamed, and no result is held in
+// memory.
 func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
-	recs, err := st.Records()
-	if err != nil {
+	if err := st.Flush(); err != nil {
 		return nil, fmt.Errorf("server: store replay: %w", err)
 	}
-
 	// Last job record wins: a job requeued by one process and completed by
 	// the next has both records, and only the terminal one matters.
 	last := map[string]store.RunRecord{}
 	var order []string
 	maxID := 0
-	for _, rec := range recs {
+	err := store.ScanRecords(st.Backend(), func(rec store.RunRecord) error {
 		if rec.Kind != store.KindJob || rec.JobID == "" {
-			continue
+			return nil
 		}
 		if _, seen := last[rec.JobID]; !seen {
 			order = append(order, rec.JobID)
@@ -63,6 +66,10 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 		if n, err := strconv.Atoi(strings.TrimPrefix(rec.JobID, "job-")); err == nil && n > maxID {
 			maxID = n
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: store replay: %w", err)
 	}
 
 	rc := &StoreRecovery{}
@@ -82,29 +89,33 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 		}
 		switch rec.State {
 		case string(StateDone):
-			data, err := st.Artifact(rec.ResultDigest)
-			if err != nil {
+			// Read once so a missing artifact drops the job now rather than
+			// failing its every result request; the bytes are not kept.
+			if _, err := st.Backend().GetArtifact(rec.ResultDigest); err != nil {
 				rc.Dropped = append(rc.Dropped, id+": "+err.Error())
 				continue
 			}
-			j := recoveredJob(id, spec, StateDone, json.RawMessage(data), nil, rec)
-			s.jobs[id] = j
-			s.order = append(s.order, id)
+			s.restoreLocked(recoveredJob(id, spec, StateDone, rec.ResultDigest, nil, rec))
 			rc.Restored++
 		case string(StateFailed), string(StateCanceled):
-			j := recoveredJob(id, spec, JobState(rec.State), nil, errors.New(rec.Err), rec)
-			s.jobs[id] = j
-			s.order = append(s.order, id)
+			s.restoreLocked(recoveredJob(id, spec, JobState(rec.State), "", errors.New(rec.Err), rec))
 			rc.Restored++
 		case string(StateQueued), string(StateRequeued):
+			if err := spec.Normalize(); err != nil {
+				rc.Dropped = append(rc.Dropped, id+": invalid spec: "+err.Error())
+				continue
+			}
+			if s.draining {
+				rc.Dropped = append(rc.Dropped, id+": server draining; not resubmitted")
+				continue
+			}
 			if len(s.queue) == cap(s.queue) {
 				rc.Dropped = append(rc.Dropped, id+": queue full on resubmission")
 				continue
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			j := newJob(id, spec, ctx, cancel, now)
-			s.jobs[id] = j
-			s.order = append(s.order, id)
+			s.restoreLocked(j)
 			rc.Resubmitted = append(rc.Resubmitted, id)
 			// The resubmission itself is an auditable event: the job gets a
 			// fresh "queued" record, so the ledger reads
@@ -120,17 +131,66 @@ func (s *Server) AttachStore(st *store.Store) (*StoreRecovery, error) {
 	return rc, nil
 }
 
-// recoveredJob rebuilds a terminal job from its ledger record.
-func recoveredJob(id string, spec JobSpec, state JobState, result any, err error, rec store.RunRecord) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // terminal: nothing to abort, but Cancel must stay safe to call
-	j := newJob(id, spec, ctx, cancel, rec.Submitted)
-	j.state = state
-	j.started = rec.Started
-	j.finished = rec.Finished
-	j.result = result
-	j.err = err
-	return j
+// restoreLocked adds a replayed job to the job table; s.mu is held.
+func (s *Server) restoreLocked(j *Job) {
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+}
+
+// recoveredJob rebuilds a terminal job from its ledger record; a done job
+// carries the digest of its durable result artifact.
+func recoveredJob(id string, spec JobSpec, state JobState, digest string, err error, rec store.RunRecord) *Job {
+	return &Job{
+		ID:        id,
+		Spec:      spec,
+		state:     state,
+		submitted: rec.Submitted,
+		started:   rec.Started,
+		finished:  rec.Finished,
+		digest:    digest,
+		err:       err,
+	}
+}
+
+// retired is a done job waiting for its terminal record to become durable,
+// at which point its in-memory result is shed.
+type retired struct {
+	job    *Job
+	index  int64  // the terminal record's ledger index
+	digest string // the result artifact's digest
+}
+
+// retire queues done job j, whose terminal record rec references its
+// result artifact, for shedding, and sheds every queued job whose record
+// the store now reports durable.
+func (s *Server) retire(j *Job, rec store.RunRecord) {
+	s.mu.Lock()
+	s.retiring = append(s.retiring, retired{job: j, index: rec.Index, digest: rec.ResultDigest})
+	s.shedDurableLocked()
+	s.mu.Unlock()
+}
+
+// shedDurableLocked sheds the retiring jobs, oldest first, whose terminal
+// records are at or below the store's durable watermark; s.mu is held. The
+// watermark rather than a Flush decides, so no job's finish waits for I/O.
+// Each job is shed once and the queue's storage is reused, so shedding
+// costs O(1) amortised per job and allocates nothing in steady state.
+func (s *Server) shedDurableLocked() {
+	durable := s.st.Durable()
+	q, i := s.retiring, s.retiredHead
+	for ; i < len(q) && q[i].index <= durable; i++ {
+		q[i].job.shed(q[i].digest)
+		q[i] = retired{}
+	}
+	switch {
+	case i == len(q):
+		q, i = q[:0], 0
+	case i > len(q)/2:
+		n := copy(q, q[i:])
+		clear(q[n:])
+		q, i = q[:n], 0
+	}
+	s.retiring, s.retiredHead = q, i
 }
 
 // storeHandle returns the attached store, or nil.
@@ -141,13 +201,16 @@ func (s *Server) storeHandle() *store.Store {
 }
 
 // recordJob appends the job lifecycle record st to the ledger (a no-op
-// without a store). result, when non-nil, is stored as a content-addressed
-// artifact first. Failures never fail the job: they are counted and surfaced
-// in /storez.
-func (s *Server) recordJob(st JobStatus, result any) {
-	if err := appendJob(s.storeHandle(), st, result); err != nil {
+// without a store) and returns the appended record. result, when non-nil,
+// is stored as a content-addressed artifact first. Failures never fail the
+// job: they are counted and surfaced in /storez, and the zero record is
+// returned.
+func (s *Server) recordJob(st JobStatus, result any) store.RunRecord {
+	rec, err := appendJob(s.storeHandle(), st, result)
+	if err != nil {
 		s.noteStoreErr(err)
 	}
+	return rec
 }
 
 // enqueueLocked appends j's "queued" record and hands j to the worker pool,
@@ -159,7 +222,7 @@ func (s *Server) recordJob(st JobStatus, result any) {
 // job.
 func (s *Server) enqueueLocked(j *Job) JobStatus {
 	st := j.Status()
-	if err := appendJob(s.st, st, nil); err != nil {
+	if _, err := appendJob(s.st, st, nil); err != nil {
 		s.storeErrs.Inc()
 		s.lastStoreErr = err.Error()
 	}
@@ -168,19 +231,20 @@ func (s *Server) enqueueLocked(j *Job) JobStatus {
 }
 
 // appendJob appends the record of job status st to the store (a no-op when
-// the store is nil), storing result as an artifact first when non-nil.
-func appendJob(to *store.Store, st JobStatus, result any) error {
+// the store is nil), storing result as an artifact first when non-nil, and
+// returns the appended record.
+func appendJob(to *store.Store, st JobStatus, result any) (store.RunRecord, error) {
 	if to == nil {
-		return nil
+		return store.RunRecord{}, nil
 	}
 	rec, err := jobRecord(st)
 	if err == nil && result != nil {
 		rec.ResultDigest, err = to.PutArtifact(result)
 	}
-	if err == nil {
-		_, err = to.Append(rec)
+	if err != nil {
+		return store.RunRecord{}, err
 	}
-	return err
+	return to.Append(rec)
 }
 
 // jobRecord builds the ledger record describing job status st.

@@ -23,8 +23,11 @@ type Backend interface {
 	ListArtifacts() ([]string, error)
 	// AppendLedger appends the encoded record lines, in order, durably.
 	AppendLedger(lines [][]byte) error
-	// ReadLedger returns every appended line, in order.
-	ReadLedger() ([][]byte, error)
+	// ScanLedger calls fn with every appended line, in order, and stops at
+	// the first error fn returns, passing it through. The line is valid only
+	// during the call and must not be modified; a caller that keeps it copies
+	// it. Memory stays bounded by the longest line, not the ledger.
+	ScanLedger(fn func(line []byte) error) error
 	// Close releases the backend's resources.
 	Close() error
 }
@@ -85,15 +88,19 @@ func (m *MemBackend) AppendLedger(lines [][]byte) error {
 	return nil
 }
 
-// ReadLedger implements Backend.
-func (m *MemBackend) ReadLedger() ([][]byte, error) {
+// ScanLedger implements Backend over the lines appended before the call.
+// Appended lines are never modified, so fn runs without the lock and may
+// call back into the backend.
+func (m *MemBackend) ScanLedger(fn func(line []byte) error) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]byte, len(m.ledger))
-	for i, ln := range m.ledger {
-		out[i] = append([]byte(nil), ln...)
+	ledger := m.ledger
+	m.mu.Unlock()
+	for _, ln := range ledger {
+		if err := fn(ln); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
 // Close implements Backend.

@@ -10,6 +10,7 @@ import (
 // Exactly one of the two shapes is set.
 type op struct {
 	line           []byte // ledger record line, when non-nil
+	index          int64  // the line's record index
 	artifactDigest string // artifact digest, when artifactData is non-nil
 	artifactData   []byte
 	// flushDone, when non-nil, marks a synthetic flush barrier: the writer
@@ -29,6 +30,9 @@ type batcher struct {
 
 	flushes int64 // atomic
 	pending int64 // atomic: accepted ops not yet flushed
+	// durable is the index of the newest record whose flush succeeded
+	// (Store.Durable); it stops advancing once err is set.
+	durable atomic.Int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -36,8 +40,9 @@ type batcher struct {
 	err  atomic.Value // first flush error, sticky
 }
 
-// newBatcher starts the writer goroutine.
-func newBatcher(b Backend, opts Options) *batcher {
+// newBatcher starts the writer goroutine; durable is the index of the last
+// record already on the backend (-1 for none).
+func newBatcher(b Backend, opts Options, durable int64) *batcher {
 	bat := &batcher{
 		b:    b,
 		opts: opts,
@@ -45,6 +50,7 @@ func newBatcher(b Backend, opts Options) *batcher {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	bat.durable.Store(durable)
 	go bat.run()
 	return bat
 }
@@ -114,6 +120,8 @@ func (bat *batcher) run() {
 		}
 		if err := bat.writeBatch(batch); err != nil {
 			bat.err.CompareAndSwap(nil, err)
+		} else if bat.firstErr() == nil {
+			bat.advance(batch)
 		}
 		atomic.AddInt64(&bat.pending, -int64(len(batch)))
 		atomic.AddInt64(&bat.flushes, 1)
@@ -152,6 +160,18 @@ func (bat *batcher) run() {
 					return
 				}
 			}
+		}
+	}
+}
+
+// advance moves the durable watermark to the newest record line of a batch
+// that was just written. Lines are enqueued in index order, so that is the
+// batch's last line.
+func (bat *batcher) advance(batch []op) {
+	for i := len(batch) - 1; i >= 0; i-- {
+		if batch[i].line != nil {
+			bat.durable.Store(batch[i].index)
+			return
 		}
 	}
 }

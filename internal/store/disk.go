@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,20 +54,41 @@ func OpenDisk(dir string) (*DiskBackend, error) {
 func (d *DiskBackend) Dir() string { return d.dir }
 
 // truncateTornTail cuts an existing ledger file back to its last complete
-// ('\n'-terminated) line. A missing file is fine.
+// ('\n'-terminated) line, reading backwards from the end only as far as that
+// line. A missing file is fine.
 func truncateTornTail(path string) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return fmt.Errorf("store: %w", err)
 	}
-	if len(data) == 0 || data[len(data)-1] == '\n' {
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if fi.Size() == 0 {
 		return nil
 	}
-	cut := bytes.LastIndexByte(data, '\n') + 1 // 0 when no newline at all
-	if err := os.Truncate(path, int64(cut)); err != nil {
+	buf := make([]byte, 4096)
+	cut := int64(0) // stays 0 when no newline at all
+	for end := fi.Size(); end > 0; {
+		n := min(int64(len(buf)), end)
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if end == fi.Size() && buf[n-1] == '\n' {
+			return nil
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			cut = end - n + int64(i) + 1
+			break
+		}
+		end -= n
+	}
+	if err := os.Truncate(path, cut); err != nil {
 		return fmt.Errorf("store: truncating torn ledger tail: %w", err)
 	}
 	return nil
@@ -154,27 +178,41 @@ func (d *DiskBackend) AppendLedger(lines [][]byte) error {
 	return nil
 }
 
-// ReadLedger implements Backend, ignoring a torn unterminated tail (which
-// OpenDisk would truncate on the next open).
-func (d *DiskBackend) ReadLedger() ([][]byte, error) {
-	data, err := os.ReadFile(filepath.Join(d.dir, ledgerName))
+// ScanLedger implements Backend with one buffered pass over the ledger file,
+// ignoring a torn unterminated tail (which OpenDisk would truncate on the
+// next open).
+func (d *DiskBackend) ScanLedger(fn func(line []byte) error) error {
+	f, err := os.Open(filepath.Join(d.dir, ledgerName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil
 		}
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	var out [][]byte
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			break // torn tail: never acknowledged, not part of the ledger
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	var long []byte // a line longer than r's buffer, assembled across reads
+	for {
+		chunk, err := r.ReadSlice('\n')
+		switch {
+		case err == nil:
+			line := chunk[:len(chunk)-1]
+			if len(long) > 0 {
+				long = append(long, line...)
+				line = long
+			}
+			if err := fn(line); err != nil {
+				return err
+			}
+			long = long[:0]
+		case errors.Is(err, bufio.ErrBufferFull):
+			long = append(long, chunk...)
+		case errors.Is(err, io.EOF):
+			return nil // torn tail: never acknowledged, not part of the ledger
+		default:
+			return fmt.Errorf("store: %w", err)
 		}
-		line := append([]byte(nil), data[:i]...)
-		out = append(out, line)
-		data = data[i+1:]
 	}
-	return out, nil
 }
 
 // Close implements Backend.

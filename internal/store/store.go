@@ -23,7 +23,10 @@
 // Close) block until everything previously appended is durable, and the
 // DiskBackend fsyncs on every flush, so a crash loses at most the records
 // appended since the last flush interval — never a record the caller has
-// Flushed.
+// Flushed. Durable reports how far the flushes have got without waiting
+// for one. Every reader of the ledger streams it through Backend.ScanLedger
+// (ScanRecords decodes), so only Records, which returns every record, holds
+// more than one record at a time.
 package store
 
 import (
@@ -97,13 +100,19 @@ type Store struct {
 }
 
 // Open replays the backend's ledger to recover the chain head and returns a
-// store appending after it. The replay only reads the tail record — full
-// verification is VerifyChain's job — but it does fail on a ledger whose
-// last record does not parse, since appending after an unparseable head
-// would chain onto garbage.
+// store appending after it. The replay streams the ledger and decodes only
+// the tail record — full verification is VerifyChain's job — but it does
+// fail on a ledger whose last record does not parse, since appending after
+// an unparseable head would chain onto garbage.
 func Open(b Backend, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	lines, err := b.ReadLedger()
+	var tail []byte
+	n := 0
+	err := b.ScanLedger(func(line []byte) error {
+		tail = append(tail[:0], line...)
+		n++
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
@@ -113,8 +122,8 @@ func Open(b Backend, opts Options) (*Store, error) {
 		headIndex: -1,
 		known:     map[string]bool{},
 	}
-	if n := len(lines); n > 0 {
-		rec, err := DecodeRecord(lines[n-1])
+	if n > 0 {
+		rec, err := DecodeRecord(tail)
 		if err != nil {
 			return nil, fmt.Errorf("store: open: ledger tail (record %d) does not parse: %w", n-1, err)
 		}
@@ -122,7 +131,8 @@ func Open(b Backend, opts Options) (*Store, error) {
 		s.headHash = rec.Hash
 		s.records = int64(n)
 	}
-	s.bat = newBatcher(b, opts)
+	// Everything replayed is already on the backend: durable.
+	s.bat = newBatcher(b, opts, s.headIndex)
 	return s, nil
 }
 
@@ -202,7 +212,7 @@ func (s *Store) Append(rec RunRecord) (RunRecord, error) {
 	s.headIndex = rec.Index
 	s.headHash = rec.Hash
 	s.records++
-	s.bat.enqueue(op{line: line}) // under the lock: see PutRawArtifact
+	s.bat.enqueue(op{line: line, index: rec.Index}) // under the lock: see PutRawArtifact
 	s.mu.Unlock()
 	return rec, nil
 }
@@ -213,20 +223,37 @@ func (s *Store) Records() ([]RunRecord, error) {
 	if err := s.Flush(); err != nil {
 		return nil, err
 	}
-	lines, err := s.b.ReadLedger()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RunRecord, 0, len(lines))
-	for i, ln := range lines {
-		rec, err := DecodeRecord(ln)
-		if err != nil {
-			return nil, fmt.Errorf("store: record %d does not parse: %w", i, err)
-		}
+	var out []RunRecord
+	err := ScanRecords(s.b, func(rec RunRecord) error {
 		out = append(out, rec)
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
+
+// ScanRecords decodes b's ledger in chain order and calls fn with each
+// record. It stops at the first line that does not parse, with an error
+// naming the record, or at the first error fn returns, which it passes
+// through. Like ScanLedger it holds one record at a time, so callers that
+// fold the ledger into a summary run in memory independent of its length.
+func ScanRecords(b Backend, fn func(RunRecord) error) error {
+	i := 0
+	return b.ScanLedger(func(line []byte) error {
+		rec, err := DecodeRecord(line)
+		if err != nil {
+			return fmt.Errorf("store: record %d does not parse (tampered or corrupted): %w", i, err)
+		}
+		i++
+		return fn(rec)
+	})
+}
+
+// Durable returns the durable watermark: the index of the newest record
+// whose flush succeeded, or -1 while there is none. Every record at or
+// below it, and every artifact those records reference, is on the backend.
+// After the first flush error the watermark stops advancing, so it never
+// covers a record that may have been lost.
+func (s *Store) Durable() int64 { return s.bat.durable.Load() }
 
 // Stats snapshots the store's accounting.
 func (s *Store) Stats() Stats {

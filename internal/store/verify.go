@@ -23,41 +23,36 @@ type VerifyReport struct {
 // hash and the prev-hash linkage, and re-hashing every referenced artifact's
 // content against its digest. Any flipped byte — in a record or in an
 // artifact — fails verification with an error naming the offending record.
+// The ledger is streamed: memory holds one record and the set of artifact
+// digests already checked, however long the chain.
 func VerifyChain(b Backend) (VerifyReport, error) {
 	rep := VerifyReport{HeadIndex: -1}
-	lines, err := b.ReadLedger()
-	if err != nil {
-		return rep, err
-	}
 	checked := map[string]bool{}
 	prevHash := ""
-	for i, line := range lines {
-		rec, err := DecodeRecord(line)
-		if err != nil {
-			return rep, fmt.Errorf("store: record %d does not parse (tampered or corrupted): %w", i, err)
-		}
+	err := ScanRecords(b, func(rec RunRecord) error {
+		i := rep.Records
 		if rec.Index != int64(i) {
-			return rep, fmt.Errorf("store: record %d carries index %d — a record was inserted or removed", i, rec.Index)
+			return fmt.Errorf("store: record %d carries index %d — a record was inserted or removed", i, rec.Index)
 		}
 		if rec.PrevHash != prevHash {
-			return rep, fmt.Errorf("store: record %d (%s): prev_hash %.12s does not match the chain head %.12s — the preceding history was altered",
+			return fmt.Errorf("store: record %d (%s): prev_hash %.12s does not match the chain head %.12s — the preceding history was altered",
 				i, recordLabel(rec), rec.PrevHash, prevHash)
 		}
 		want, err := HashRecord(rec)
 		if err != nil {
-			return rep, fmt.Errorf("store: record %d (%s): %w", i, recordLabel(rec), err)
+			return fmt.Errorf("store: record %d (%s): %w", i, recordLabel(rec), err)
 		}
 		if rec.Hash != want {
-			return rep, fmt.Errorf("store: record %d (%s): stored hash %.12s, recomputed %.12s — the record was tampered with",
+			return fmt.Errorf("store: record %d (%s): stored hash %.12s, recomputed %.12s — the record was tampered with",
 				i, recordLabel(rec), rec.Hash, want)
 		}
 		if rec.ResultDigest != "" && !checked[rec.ResultDigest] {
 			data, err := b.GetArtifact(rec.ResultDigest)
 			if err != nil {
-				return rep, fmt.Errorf("store: record %d (%s): artifact missing: %w", i, recordLabel(rec), err)
+				return fmt.Errorf("store: record %d (%s): artifact missing: %w", i, recordLabel(rec), err)
 			}
 			if got := Digest(data); got != rec.ResultDigest {
-				return rep, fmt.Errorf("store: record %d (%s): artifact %.12s re-hashes to %.12s — the artifact was tampered with or truncated",
+				return fmt.Errorf("store: record %d (%s): artifact %.12s re-hashes to %.12s — the artifact was tampered with or truncated",
 					i, recordLabel(rec), rec.ResultDigest, got)
 			}
 			checked[rec.ResultDigest] = true
@@ -67,8 +62,9 @@ func VerifyChain(b Backend) (VerifyReport, error) {
 		rep.HeadIndex = rec.Index
 		rep.HeadHash = rec.Hash
 		rep.Records++
-	}
-	return rep, nil
+		return nil
+	})
+	return rep, err
 }
 
 // recordLabel names a record for error messages: its job ID, name, or kind.
@@ -87,22 +83,18 @@ func recordLabel(rec RunRecord) string {
 // pinning name: the file's SHA-256 must equal the recorded digest. It
 // returns that record on success.
 func VerifyGolden(b Backend, name, path string) (RunRecord, error) {
-	lines, err := b.ReadLedger()
+	var pin RunRecord
+	found := false
+	err := ScanRecords(b, func(rec RunRecord) error {
+		if rec.Kind == KindGolden && rec.Name == name {
+			pin, found = rec, true
+		}
+		return nil
+	})
 	if err != nil {
 		return RunRecord{}, err
 	}
-	var pin *RunRecord
-	for i := len(lines) - 1; i >= 0; i-- {
-		rec, err := DecodeRecord(lines[i])
-		if err != nil {
-			return RunRecord{}, fmt.Errorf("store: record %d does not parse: %w", i, err)
-		}
-		if rec.Kind == KindGolden && rec.Name == name {
-			pin = &rec
-			break
-		}
-	}
-	if pin == nil {
+	if !found {
 		return RunRecord{}, fmt.Errorf("store: no golden record pins %q", name)
 	}
 	data, err := os.ReadFile(path)
@@ -110,8 +102,8 @@ func VerifyGolden(b Backend, name, path string) (RunRecord, error) {
 		return RunRecord{}, err
 	}
 	if got := Digest(data); got != pin.ResultDigest {
-		return *pin, fmt.Errorf("store: golden %q: file %s hashes to %.12s but record %d pinned %.12s — the file diverged from the recorded run",
+		return pin, fmt.Errorf("store: golden %q: file %s hashes to %.12s but record %d pinned %.12s — the file diverged from the recorded run",
 			name, path, got, pin.Index, pin.ResultDigest)
 	}
-	return *pin, nil
+	return pin, nil
 }
