@@ -1,7 +1,7 @@
 // Command secdir-attack mounts the cross-core conflict-based directory
-// attacks of §2.2/§9 against a victim line on the baseline (Skylake-X-style)
-// and SecDir directories, printing the attacker's observables and the
-// ground-truth inclusion victims.
+// attacks of §2.2/§9 against a victim line on a directory design of the
+// catalogue (by default the Skylake-X-style baseline and SecDir), printing
+// the attacker's observables and the ground-truth inclusion victims.
 //
 // Usage:
 //
@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"secdir/internal/config"
 	"secdir/internal/metrics"
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "both", "baseline, secdir, or both")
+	dir := flag.String("dir", "both", "directory design, one of "+strings.Join(config.Names(), ", ")+", or both (baseline and secdir)")
 	rounds := flag.Int("rounds", 40, "attack rounds")
 	cores := flag.Int("cores", 8, "number of cores (power of two)")
 	evLines := flag.Int("evlines", 32, "eviction-set size (W_ED+W_TD=23 needed to fill a set)")
@@ -36,32 +37,23 @@ func main() {
 	}
 	reg := mflags.Registry()
 
-	var cfgs []config.Config
-	switch *dir {
-	case "baseline":
-		cfgs = []config.Config{config.SkylakeX(*cores)}
-	case "secdir":
-		cfgs = []config.Config{config.SecDirConfig(*cores)}
-	case "both":
-		cfgs = []config.Config{config.SkylakeX(*cores), config.SecDirConfig(*cores)}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -dir %q\n", *dir)
+	spec := server.JobSpec{Kind: server.KindAttack, Design: *dir, Cores: *cores, Seed: *seed,
+		Rounds: *rounds, EvictionLines: *evLines}
+	if err := spec.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	res, err := server.Run(context.Background(), spec, reg, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	target := trace.T0Lines()[0] // a line of the AES T0 table
-
-	for _, cfg := range cfgs {
-		cfg.Seed = *seed
-		fmt.Printf("=== %s directory ===\n", cfg.Kind)
+	for _, rep := range res.([]server.AttackReport) {
+		fmt.Printf("=== %s directory ===\n", rep.Design)
 		fmt.Printf("victim core 0, attackers on cores 1..%d, target line %#x (AES T0[0])\n",
 			*cores-1, uint64(target))
-
-		rep, err := server.RunAttackSuite(context.Background(), cfg, reg, *rounds, *evLines, nil, 0, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("evict+reload:  accuracy %.2f (0.50 = chance), victim copy evicted in %d/%d rounds\n",
 			rep.EvictReloadAccuracy, rep.VictimEvictions, rep.Rounds)
 		fmt.Printf("prime+probe:   signal %.2f extra probe misses/round when the victim is active\n", rep.PrimeProbeSignal)
@@ -69,11 +61,11 @@ func main() {
 		fmt.Printf("key recovery:  %d/%d key nibbles recovered after %d observed encryptions\n",
 			rep.KeyNibblesRecovered, rep.KeyNibblesTotal, rep.Encryptions)
 		fmt.Printf("victim inclusion victims (shared-structure conflicts): %d\n", rep.InclusionVictims)
-		if cfg.Kind == config.SecDir {
-			fmt.Println("-> SecDir: the victim's entries retreated into its private Victim Directory;")
-			fmt.Println("   the attacker forced no evictions and the reload carries no information.")
+		if rep.VictimEvictions == 0 {
+			fmt.Println("-> the attacker forced no evictions of the victim's private copies;")
+			fmt.Println("   the reload carries no information.")
 		} else {
-			fmt.Println("-> Baseline: directory conflicts evicted the victim's private copies;")
+			fmt.Println("-> directory conflicts evicted the victim's private copies;")
 			fmt.Println("   the attacker reads the victim's access pattern.")
 		}
 		fmt.Println()

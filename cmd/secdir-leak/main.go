@@ -25,16 +25,19 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 
+	"secdir/internal/config"
 	"secdir/internal/leakage"
 	"secdir/internal/metrics"
 	"secdir/internal/server"
 )
 
 func main() {
-	cfgSpec := flag.String("config", "all", "comma-separated configs: skylake-unfixed,skylake-fixed,secdir (or all)")
+	cfgSpec := flag.String("config", "all", fmt.Sprintf("comma-separated configs from %s (all = %s)",
+		strings.Join(config.Names(), ","), strings.Join(leakage.AllConfigNames(), ",")))
 	stratSpec := flag.String("strategy", "suite", "comma-separated strategies: primeprobe,evictreload,evicttime,floodreload,monitor (suite = all but floodreload)")
 	trials := flag.Int("trials", 1000, "independent seeded trials per (config,strategy) cell")
 	rounds := flag.Int("rounds", 16, "attack rounds per trial (half victim-active, half idle)")

@@ -1,5 +1,5 @@
-// Command secdir-sim runs a single workload on a simulated machine with the
-// baseline (Skylake-X-style) or SecDir directory and prints IPC, L2-miss
+// Command secdir-sim runs a single workload on a simulated machine with any
+// directory design of the catalogue (config.Names) and prints IPC, L2-miss
 // breakdown, and directory transition statistics.
 //
 // Usage:
@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"secdir/internal/addr"
 	"secdir/internal/coherence"
@@ -24,14 +25,13 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "secdir", "directory design: baseline, secdir, waypart, randmap, skewed, dls, tagpart, or ceaser")
+	dir := flag.String("dir", "secdir", "directory design, one of "+strings.Join(config.Names(), ", "))
 	compare := flag.Bool("compare", false, "run the workload on baseline AND secdir and print the deltas")
 	workload := flag.String("workload", "mix0", "mix0..mix11, a PARSEC name, aes, uniform:<lines>, stream:<lines>, or file:<trace.sdtr>")
 	cores := flag.Int("cores", 8, "number of cores (power of two)")
 	warmup := flag.Uint64("warmup", 150_000, "warmup accesses per core")
 	measure := flag.Uint64("measure", 150_000, "measured accesses per core")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	unfixed := flag.Bool("unfixed", false, "model the Skylake-X Appendix-A limitation (baseline default: on)")
 	mflags := metrics.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -41,29 +41,9 @@ func main() {
 	}
 	reg := mflags.Registry()
 
-	var cfg config.Config
-	switch *dir {
-	case "baseline":
-		cfg = config.SkylakeX(*cores)
-		if *unfixed {
-			cfg.AppendixAFix = false
-		}
-	case "secdir":
-		cfg = config.SecDirConfig(*cores)
-	case "waypart":
-		cfg = config.WayPartitionedConfig(*cores)
-	case "randmap":
-		cfg = config.RandMappedConfig(*cores, 200_000)
-	case "skewed":
-		cfg = config.SkewedConfig(*cores)
-	case "dls":
-		cfg = config.DLSConfig(*cores)
-	case "tagpart":
-		cfg = config.TagPartConfig(*cores)
-	case "ceaser":
-		cfg = config.CeaserConfig(*cores, 200_000)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -dir %q\n", *dir)
+	cfg, err := config.ByName(*dir, *cores)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	cfg.Seed = *seed
@@ -113,7 +93,7 @@ func main() {
 	}
 
 	fmt.Printf("workload %s on %s (%d cores, %d+%d accesses/core)\n",
-		w.Name, cfg.Kind, cfg.Cores, *warmup, *measure)
+		w.Name, *dir, cfg.Cores, *warmup, *measure)
 	fmt.Printf("total IPC: %.4f   max cycles: %d\n", res.TotalIPC(), res.MaxCycles)
 	e, v, m := res.L2MissBreakdown()
 	fmt.Printf("L2 misses: %d  (ED+TD hits %d, VD hits %d, memory %d)\n", e+v+m, e, v, m)

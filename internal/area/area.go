@@ -9,6 +9,8 @@
 // exact.
 package area
 
+import "secdir/internal/config"
+
 // Paper constants (Table 3, §7).
 const (
 	// TDEntryTagBits and EDEntryTagBits are the 29-bit address tags of the
@@ -196,24 +198,26 @@ func DLSEntryBits(cores int) int { return TDEntryTagBits + 2 + cores }
 func TagPartEntryBits() int { return TDEntryTagBits + 1 }
 
 // DefenseStorage returns the per-slice directory storage and the number of
-// independently accessed banks for a leaderboard defense name at baseline
-// geometry (2048 sets, 11 TD + 12 ED ways of budget). Unknown names return
-// ok == false.
-func DefenseStorage(name string, cores int) (s SliceStorage, banks int, ok bool) {
+// independently accessed banks of a directory design at baseline geometry
+// (2048 sets, 11 TD + 12 ED ways of budget) on c.Cores cores. A kind the
+// cost model does not know returns ok == false.
+func DefenseStorage(c config.Config) (s SliceStorage, banks int, ok bool) {
+	cores := c.Cores
 	unified := uint64(DirSets) * uint64(TDWays+EDWaysBase)
-	switch name {
-	case "skylake-unfixed", "skylake-fixed", "baseline":
+	switch c.Kind {
+	case config.Baseline, config.WayPartitioned:
+		// Way partitioning divides the baseline's arrays among the cores.
 		return SkylakeSlice(cores), 2, true
-	case "secdir":
+	case config.SecDir:
 		return SecDirSlice(cores, 8), 2 + cores, true
-	case "skewed":
+	case config.SkewedDir:
 		// One unified table; every way is its own independently decoded
 		// array (per-way index functions), hence one bank per way.
 		return SliceStorage{TD: unified * uint64(SkewedEntryBits(cores))}, TDWays + EDWaysBase, true
-	case "dls":
+	case config.DLS:
 		// The TD+ED budget folded back into the inclusive LLC tag array.
 		return SliceStorage{TD: unified * uint64(DLSEntryBits(cores))}, 1, true
-	case "tagpart":
+	case config.TagPartitioned:
 		// Per-core partitions of the unified way budget (minimum 1 way each).
 		ways := (TDWays + EDWaysBase) / cores
 		if ways < 1 {
@@ -221,7 +225,7 @@ func DefenseStorage(name string, cores int) (s SliceStorage, banks int, ok bool)
 		}
 		bits := uint64(cores) * uint64(DirSets) * uint64(ways) * uint64(TagPartEntryBits())
 		return SliceStorage{TD: bits}, cores, true
-	case "ceaser", "rand-mapped", "randmap":
+	case config.Ceaser:
 		// Baseline structure under a keyed index: full tags, plus nothing
 		// else worth counting (two 64-bit keys per slice vanish at KB scale).
 		td := uint64(DirSets) * uint64(TDWays) * uint64(FullTagBits+2+cores)

@@ -3,6 +3,8 @@ package area
 import (
 	"math"
 	"testing"
+
+	"secdir/internal/config"
 )
 
 func almost(t *testing.T, name string, got, want, tol float64) {
@@ -98,30 +100,37 @@ func TestRequiredAssociativity(t *testing.T) {
 	}
 }
 
-// TestDefenseStorage checks the leaderboard cost model: every raced defense
-// resolves, the baseline aliases agree, keyed/skewed designs pay the full-tag
-// premium over the baseline, and tag-partitioning's missing sharer vector
-// makes it the cheapest design.
+// TestDefenseStorage checks the leaderboard cost model: every catalogue
+// design resolves, the baseline aliases agree, keyed/skewed designs pay the
+// full-tag premium over the baseline, and tag-partitioning's missing sharer
+// vector makes it the cheapest design.
 func TestDefenseStorage(t *testing.T) {
 	names := []string{"skylake-unfixed", "secdir", "skewed", "dls", "tagpart", "ceaser"}
 	kb := map[string]float64{}
-	for _, n := range names {
-		s, banks, ok := DefenseStorage(n, 8)
+	for _, n := range config.Names() {
+		c, err := config.ByName(n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, banks, ok := DefenseStorage(c)
 		if !ok {
-			t.Fatalf("DefenseStorage(%q) unknown", n)
+			t.Fatalf("DefenseStorage(%s, kind %v) unknown", n, c.Kind)
 		}
 		if s.Total() == 0 || banks < 1 {
-			t.Fatalf("DefenseStorage(%q) = %d bits in %d banks", n, s.Total(), banks)
+			t.Fatalf("DefenseStorage(%s) = %d bits in %d banks", n, s.Total(), banks)
 		}
 		kb[n] = KB(s.Total())
 	}
-	if _, _, ok := DefenseStorage("nope", 8); ok {
-		t.Error("DefenseStorage accepted an unknown name")
+	if _, _, ok := DefenseStorage(config.Config{Kind: config.DirectoryKind(99), Cores: 8}); ok {
+		t.Error("DefenseStorage accepted an unknown kind")
 	}
 
-	base, banks, _ := DefenseStorage("baseline", 8)
-	if got := SkylakeSlice(8); base != got || banks != 2 {
-		t.Errorf("baseline alias = %+v/%d banks, want %+v/2", base, banks, got)
+	for _, alias := range []string{"baseline", "skylake-fixed", "waypart"} {
+		c, _ := config.ByName(alias, 8)
+		base, banks, _ := DefenseStorage(c)
+		if got := SkylakeSlice(8); base != got || banks != 2 {
+			t.Errorf("%s = %+v/%d banks, want the baseline's %+v/2", alias, base, banks, got)
+		}
 	}
 	almost(t, "skylake-unfixed KB", kb["skylake-unfixed"], KB(SkylakeSlice(8).Total()), 0.001)
 	almost(t, "secdir KB", kb["secdir"], KB(SecDirSlice(8, 8).Total()), 0.001)

@@ -201,16 +201,6 @@ func sliceBuilder(cfg config.Config) (func(seed int64) directory.Slice, error) {
 			p.Seed = seed
 			return core.New(p)
 		}, nil
-	case config.RandMapped:
-		p := directory.RandMapParams{
-			TDSets: cfg.TDSets, TDWays: cfg.TDWays,
-			EDSets: cfg.EDSets, EDWays: cfg.EDWays,
-			RekeyEvery: cfg.RekeyEvery,
-		}
-		return func(seed int64) directory.Slice {
-			p.Seed = seed
-			return directory.NewRandMapped(p)
-		}, nil
 	case config.WayPartitioned:
 		p := directory.WayPartParams{
 			Cores:  cfg.Cores,

@@ -40,7 +40,7 @@ func smallConfig(kind config.DirectoryKind) config.Config {
 		// Per-core partitioning needs at least one way per core.
 		cfg.TDWays, cfg.EDWays = 4, 4
 		cfg.AppendixAFix = true
-	case config.RandMapped, config.Ceaser:
+	case config.Ceaser:
 		cfg.AppendixAFix = true
 		cfg.RekeyEvery = 400 // exercise the remap paths in short tests
 	case config.SkewedDir, config.DLS, config.TagPartitioned:

@@ -75,12 +75,6 @@ func (e *Engine) CheckInvariants() error {
 			Lines() []addr.Line
 		}
 		switch s := sl.(type) {
-		case *directory.BaselineSlice:
-			tded = s.TDED()
-		case *directory.RandMapSlice:
-			tded = s.TDED()
-		case *directory.CeaserSlice:
-			tded = s.TDED()
 		case *core.Slice:
 			tded = s.TDED()
 			ss := s
@@ -90,6 +84,9 @@ func (e *Engine) CheckInvariants() error {
 			} {
 				return ss.VDBank(c)
 			}
+		case interface{ TDED() *directory.TDED }:
+			// The baseline and the ceaser directory, which wraps one.
+			tded = s.TDED()
 		case entryRanger:
 			// Single-structure designs (way-partitioned, skewed, DLS,
 			// tag-partitioned) expose a merged entry walk; the shared rules

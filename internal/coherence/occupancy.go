@@ -40,8 +40,8 @@ func (o Occupancy) TDFill() float64 { return fill(o.TDEntries, o.TDCapacity) }
 func (o Occupancy) VDFill() float64 { return fill(o.VDEntries, o.VDCapacity) }
 
 // OccupancySnapshot walks the directory slices and returns current fill
-// levels. Designs without introspectable structures (way-partitioned,
-// randomized) report only what they expose. An unbuilt slice holds no
+// levels. Designs without a TD/ED pair (way-partitioned, skewed, DLS,
+// tag-partitioned) report only what they expose. An unbuilt slice holds no
 // entries but still counts its capacity, so fill fractions do not depend on
 // which slices a workload happened to touch.
 func (e *Engine) OccupancySnapshot() Occupancy {
@@ -50,10 +50,6 @@ func (e *Engine) OccupancySnapshot() Occupancy {
 		switch s := sl.(type) {
 		case nil:
 			o.addUnbuilt(e.cfg)
-		case *directory.BaselineSlice:
-			o.addTDED(s.TDED())
-		case *directory.RandMapSlice:
-			o.addTDED(s.TDED())
 		case *core.Slice:
 			o.addTDED(s.TDED())
 			for c := 0; c < e.cfg.Cores; c++ {
@@ -62,6 +58,8 @@ func (e *Engine) OccupancySnapshot() Occupancy {
 				o.VDCapacity += b.Capacity()
 				o.VDPerCore[c] += b.Len()
 			}
+		case interface{ TDED() *directory.TDED }:
+			o.addTDED(s.TDED())
 		}
 	}
 	return o
@@ -79,7 +77,7 @@ func (o *Occupancy) addTDED(d *directory.TDED) {
 // the same geometry its constructor would use.
 func (o *Occupancy) addUnbuilt(cfg config.Config) {
 	switch cfg.Kind {
-	case config.Baseline, config.RandMapped, config.SecDir:
+	case config.Baseline, config.Ceaser, config.SecDir:
 		o.EDCapacity += cfg.EDSets * cfg.EDWays
 		o.TDCapacity += cfg.TDSets * cfg.TDWays
 	}

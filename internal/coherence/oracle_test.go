@@ -44,36 +44,25 @@ func (o *oracle) mayHit(core int, line addr.Line) bool {
 // capacity and conflict evictions the oracle does not model — but it must
 // never hit a line the protocol says the core cannot have).
 func TestEngineAgainstOracle(t *testing.T) {
-	kinds := []config.DirectoryKind{
-		config.Baseline, config.SecDir, config.WayPartitioned, config.RandMapped,
-		config.SkewedDir, config.DLS, config.TagPartitioned, config.Ceaser,
-	}
-	for _, kind := range kinds {
-		fixes := []bool{true}
-		if kind == config.Baseline {
-			fixes = []bool{true, false}
+	for _, d := range allDesigns() {
+		cfg := d.cfg
+		e := newEngine(t, cfg)
+		o := newOracle()
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; i < 120000; i++ {
+			c := rng.Intn(cfg.Cores)
+			l := addr.Line(rng.Intn(1 << 13))
+			w := rng.Intn(5) == 0
+			res := e.Access(c, l, w)
+			hit := res.Level == LevelL1 || res.Level == LevelL2
+			if hit && !o.mayHit(c, l) {
+				t.Fatalf("%s step %d: core %d hit line %#x it cannot legally hold",
+					d.name, i, c, uint64(l))
+			}
+			o.access(c, l, w)
 		}
-		for _, fix := range fixes {
-			cfg := smallConfig(kind)
-			cfg.AppendixAFix = fix
-			e := newEngine(t, cfg)
-			o := newOracle()
-			rng := rand.New(rand.NewSource(99))
-			for i := 0; i < 120000; i++ {
-				c := rng.Intn(cfg.Cores)
-				l := addr.Line(rng.Intn(1 << 13))
-				w := rng.Intn(5) == 0
-				res := e.Access(c, l, w)
-				hit := res.Level == LevelL1 || res.Level == LevelL2
-				if hit && !o.mayHit(c, l) {
-					t.Fatalf("%v(fix=%v) step %d: core %d hit line %#x it cannot legally hold",
-						kind, fix, i, c, uint64(l))
-				}
-				o.access(c, l, w)
-			}
-			if err := e.CheckInvariants(); err != nil {
-				t.Fatalf("%v(fix=%v): invariants violated after workload: %v", kind, fix, err)
-			}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s: invariants violated after workload: %v", d.name, err)
 		}
 	}
 }
@@ -108,8 +97,8 @@ func TestEngineQuickSequences(t *testing.T) {
 }
 
 // TestDifferentialMemoryImage is a differential oracle across directory
-// designs: one seeded workload is replayed bit-identically through the
-// unfixed Skylake-X baseline, the Appendix-A-fixed baseline, and SecDir.
+// designs: one seeded workload is replayed bit-identically through every
+// design of allDesigns.
 //
 // Data is modeled by a shadow version counter per line (bumped on every
 // write). For each design the test tracks the version each core last
@@ -117,7 +106,7 @@ func TestEngineQuickSequences(t *testing.T) {
 // hit always observes the line's current version (any intervening remote
 // write must have invalidated the copy). At the end, structural invariants
 // must hold and a read sweep from core 0 must build the same memory image —
-// line -> observed version — in all three designs: capacity and conflict
+// line -> observed version — in every design: capacity and conflict
 // behaviour may differ, observable data may not.
 func TestDifferentialMemoryImage(t *testing.T) {
 	type op struct {
@@ -138,24 +127,7 @@ func TestDifferentialMemoryImage(t *testing.T) {
 		sweep = append(sweep, l)
 	}
 
-	unfixed := smallConfig(config.Baseline)
-	unfixed.AppendixAFix = false
-	fixed := smallConfig(config.Baseline)
-	fixed.AppendixAFix = true
-	designs := []struct {
-		name string
-		cfg  config.Config
-	}{
-		{"skylake-unfixed", unfixed},
-		{"skylake-fixed", fixed},
-		{"secdir", smallConfig(config.SecDir)},
-		{"way-partitioned", smallConfig(config.WayPartitioned)},
-		{"rand-mapped", smallConfig(config.RandMapped)},
-		{"skewed", smallConfig(config.SkewedDir)},
-		{"dls", smallConfig(config.DLS)},
-		{"tag-partitioned", smallConfig(config.TagPartitioned)},
-		{"ceaser", smallConfig(config.Ceaser)},
-	}
+	designs := allDesigns()
 
 	images := make([]map[addr.Line]uint64, len(designs))
 	for di, d := range designs {

@@ -13,7 +13,8 @@ import (
 
 // allDesigns are the nine directory designs Reset must restore
 // bit-identically: every kind the engine supports, plus the unfixed
-// Skylake-X baseline whose inclusion-victim behaviour differs.
+// Skylake-X baseline whose inclusion-victim behaviour differs and the
+// bulk-re-keyed ceaser directory.
 func allDesigns() []struct {
 	name string
 	cfg  config.Config
@@ -22,6 +23,10 @@ func allDesigns() []struct {
 	unfixed.AppendixAFix = false
 	fixed := smallConfig(config.Baseline)
 	fixed.AppendixAFix = true
+	// rand-mapped is the ceaser directory with one remap step over every
+	// set: the bulk re-key.
+	randMapped := smallConfig(config.Ceaser)
+	randMapped.RemapStep = randMapped.TDSets
 	return []struct {
 		name string
 		cfg  config.Config
@@ -30,7 +35,7 @@ func allDesigns() []struct {
 		{"skylake-fixed", fixed},
 		{"secdir", smallConfig(config.SecDir)},
 		{"way-partitioned", smallConfig(config.WayPartitioned)},
-		{"rand-mapped", smallConfig(config.RandMapped)},
+		{"rand-mapped", randMapped},
 		{"skewed", smallConfig(config.SkewedDir)},
 		{"dls", smallConfig(config.DLS)},
 		{"tag-partitioned", smallConfig(config.TagPartitioned)},

@@ -5,6 +5,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"secdir/internal/cachesim"
 )
@@ -23,10 +24,6 @@ const (
 	// partitioned across cores (DAWG-style). Secure but inflexible — it
 	// cannot be built at all once cores exceed the way count.
 	WayPartitioned
-	// RandMapped is the §11 randomization-based alternative (CEASER-style):
-	// a keyed, periodically re-keyed set-index permutation. Defeats
-	// targeted eviction sets but only slows flooding attacks.
-	RandMapped
 	// SkewedDir is a SEED-style linearly-skewed directory: one unified table
 	// whose every way is indexed by its own secret invertible affine map
 	// over GF(2^n).
@@ -39,9 +36,11 @@ const (
 	// L2 (data stays shared), so cross-core conflict evictions are
 	// impossible by construction (after Ramkrishnan et al.).
 	TagPartitioned
-	// Ceaser is the gradual-remap variant of RandMapped: two live keys and a
-	// remap pointer sweeping the set space, the relocation schedule real
-	// CEASER hardware ships.
+	// Ceaser is the §11 randomization-based alternative (CEASER-style): a
+	// keyed set-index mix with two live keys and a remap pointer sweeping
+	// the set space. Defeats targeted eviction sets but only slows flooding
+	// attacks. A RemapStep of every set is the bulk re-key
+	// (RandMappedConfig).
 	Ceaser
 )
 
@@ -54,8 +53,6 @@ func (k DirectoryKind) String() string {
 		return "secdir"
 	case WayPartitioned:
 		return "way-partitioned"
-	case RandMapped:
-		return "rand-mapped"
 	case SkewedDir:
 		return "skewed"
 	case DLS:
@@ -166,13 +163,13 @@ type Config struct {
 	// controls ED and TD.
 	DisableEDTD bool
 
-	// RekeyEvery (RandMapped and Ceaser) is the number of slice operations
-	// between set-index re-keys (RandMapped: a bulk re-key; Ceaser: one
-	// incremental remap step); 0 never re-keys.
+	// RekeyEvery (Ceaser only) is the number of slice operations between
+	// remap steps; 0 never re-keys.
 	RekeyEvery int
 
 	// RemapStep (Ceaser only) is the number of sets relocated per remap
-	// step; 0 picks sets/64, a full epoch every 64 steps.
+	// step; 0 picks sets/64, a full epoch every 64 steps, and TDSets
+	// re-keys the whole directory at once.
 	RemapStep int
 
 	Lat Latencies
@@ -296,12 +293,11 @@ func SecDirConfig(cores int) Config {
 }
 
 // RandMappedConfig returns the CEASER-style randomized directory at baseline
-// geometry, re-keying every rekeyEvery slice operations (0 = never).
+// geometry with a bulk re-key every rekeyEvery slice operations (0 = never):
+// a ceaser directory whose one remap step sweeps every set.
 func RandMappedConfig(cores, rekeyEvery int) Config {
-	c := SkylakeX(cores)
-	c.Kind = RandMapped
-	c.AppendixAFix = true
-	c.RekeyEvery = rekeyEvery
+	c := CeaserConfig(cores, rekeyEvery)
+	c.RemapStep = c.TDSets
 	return c
 }
 
@@ -351,6 +347,62 @@ func CeaserConfig(cores, rekeyEvery int) Config {
 	c.AppendixAFix = true
 	c.RekeyEvery = rekeyEvery
 	return c
+}
+
+// rivalRekeyEvery is the remap cadence of the catalogue's ceaser design: one
+// incremental step every 20k slice operations sweeps a full epoch in ~1.3M
+// operations at the default 64-step schedule.
+const rivalRekeyEvery = 20_000
+
+// designs is the design catalogue: every directory-design name the tools,
+// the job server and the leakage lab accept, in listing order, with the one
+// configuration it means.
+var designs = []struct {
+	name  string
+	build func(cores int) Config
+}{
+	{"skylake-unfixed", SkylakeX},
+	{"baseline", SkylakeX},
+	{"skylake-fixed", func(cores int) Config {
+		c := SkylakeX(cores)
+		c.AppendixAFix = true
+		return c
+	}},
+	{"secdir", SecDirConfig},
+	{"waypart", WayPartitionedConfig},
+	{"randmap", func(cores int) Config { return RandMappedConfig(cores, 200_000) }},
+	{"skewed", SkewedConfig},
+	{"dls", DLSConfig},
+	{"tagpart", TagPartConfig},
+	{"ceaser", func(cores int) Config { return CeaserConfig(cores, rivalRekeyEvery) }},
+}
+
+// Names lists every design name ByName resolves, in catalogue order.
+// "baseline" is an alias of "skylake-unfixed": the Skylake-X baseline with
+// the Appendix A limitation; "skylake-fixed" is the same geometry with the
+// fix.
+func Names() []string {
+	out := make([]string, len(designs))
+	for i, d := range designs {
+		out[i] = d.name
+	}
+	return out
+}
+
+// ByName returns the validated configuration a design name means at the
+// given core count. An unknown name, or a core count the simulator cannot
+// model, is an error.
+func ByName(name string, cores int) (Config, error) {
+	for _, d := range designs {
+		if d.name == name {
+			c := d.build(cores)
+			if err := c.Validate(); err != nil {
+				return Config{}, fmt.Errorf("%s: %w", name, err)
+			}
+			return c, nil
+		}
+	}
+	return Config{}, fmt.Errorf("config: unknown design %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
 // ceilPow2 returns the smallest power of two >= v (minimum 1).

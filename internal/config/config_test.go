@@ -116,3 +116,47 @@ func TestValidateRejectsCoresBeyondBitset(t *testing.T) {
 		}
 	}
 }
+
+// TestByName pins the design catalogue: every listed name resolves to a
+// valid configuration, the aliases and the bulk-re-keyed ceaser mean what
+// their callers expect, and a bad name or core count is refused with an
+// error that says why.
+func TestByName(t *testing.T) {
+	for _, n := range Names() {
+		if _, err := ByName(n, 8); err != nil {
+			t.Errorf("ByName(%q): %v", n, err)
+		}
+	}
+	get := func(n string) Config {
+		c, err := ByName(n, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if unfixed := get("skylake-unfixed"); unfixed != get("baseline") || unfixed.AppendixAFix {
+		t.Error("baseline must alias the unfixed Skylake-X")
+	}
+	if fixed := get("skylake-fixed"); fixed.Kind != Baseline || !fixed.AppendixAFix {
+		t.Errorf("skylake-fixed = %v fix=%v", fixed.Kind, fixed.AppendixAFix)
+	}
+	if rm := get("randmap"); rm.Kind != Ceaser || rm.RemapStep != rm.TDSets {
+		t.Errorf("randmap must be a ceaser directory re-keyed in one step: %v step %d", rm.Kind, rm.RemapStep)
+	}
+	if ce := get("ceaser"); ce.RekeyEvery != rivalRekeyEvery || ce.RemapStep != 0 {
+		t.Errorf("ceaser rekey %d step %d", ce.RekeyEvery, ce.RemapStep)
+	}
+
+	_, err := ByName("nosuch", 8)
+	if err == nil {
+		t.Fatal("unknown design accepted")
+	}
+	for _, n := range Names() {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("error %q does not list %q", err, n)
+		}
+	}
+	if _, err := ByName("secdir", 3); err == nil || !strings.Contains(err.Error(), "cores") {
+		t.Errorf("3 cores: %v, want an error naming cores", err)
+	}
+}

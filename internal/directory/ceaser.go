@@ -6,25 +6,31 @@ import (
 	"secdir/internal/rng"
 )
 
-// CeaserSlice is the CEASER-style gradual-remap variant of the randomized
-// directory (Qureshi, "CEASER: mitigating conflict-based cache attacks via
-// encrypted-address and remapping"): like RandMapSlice the set index is a
-// keyed mix of the line address, but instead of a bulk re-key that relocates
-// the whole directory at once, the slice keeps two keys live and a remap
-// pointer sweeps the set space. Sets below the pointer are already indexed
-// under the next-epoch key; sets above still use the current one. Every
-// RekeyEvery directory operations the pointer advances by RemapStep sets and
-// the resident entries of the swept window are relocated; when the pointer
-// reaches the end, the epoch rolls (next key becomes current) and the sweep
-// restarts.
+// CeaserSlice is the §11 randomization-based alternative (CEASER-style;
+// Qureshi, "CEASER: mitigating conflict-based cache attacks via
+// encrypted-address and remapping"): the directory set index is a keyed mix
+// of the line address. An attacker cannot compute which addresses conflict
+// with the victim's, so *targeted* eviction sets fail — but, as the paper
+// argues, randomization "can only reduce the bandwidth of the attack,
+// instead of eliminating it": flooding enough lines across many sets still
+// evicts the victim's entries (see attack.FloodReload).
 //
-// The security argument is the same as RandMapSlice's — and so is the bound:
-// remapping limits how long a discovered eviction set stays useful, but a
-// flood attack that does not need a stable set survives (the leaderboard
-// shows both designs hold off targeted probes yet stay measurable under
-// flooding). The gradual sweep is what real hardware ships, because the bulk
-// remap's latency spike is unshippable; modelling it costs one compare on
-// the index path.
+// The slice keeps two keys live and a remap pointer sweeps the set space.
+// Sets below the pointer are already indexed under the next-epoch key; sets
+// above still use the current one. Every RekeyEvery directory operations the
+// pointer advances by RemapStep sets and the resident entries of the swept
+// window are relocated; when the pointer reaches the end, the epoch rolls
+// (next key becomes current) and the sweep restarts. A RemapStep of every
+// set is a bulk re-key: one step relocates the whole directory
+// (config.RandMappedConfig).
+//
+// Remapping limits how long a discovered eviction set stays useful, but a
+// flood attack that does not need a stable set survives: in the ALT
+// design-space table (data/ALT_designs.csv) the bulk-re-keyed configuration
+// holds targeted evict+reload at chance yet loses 8 of 10 flood rounds. The
+// gradual sweep is what real hardware ships, because the bulk remap's
+// latency spike is unshippable; modelling it costs one compare on the index
+// path.
 type CeaserSlice struct {
 	inner *BaselineSlice
 	sets  int
@@ -198,6 +204,17 @@ func (s *CeaserSlice) Find(line addr.Line) (Meta, Where, bool) {
 
 // Stats implements Slice.
 func (s *CeaserSlice) Stats() *Stats { return s.inner.Stats() }
+
+// mixLine is the keyed xor-multiply set-index mix (not cryptographic, but
+// the attacker model grants no key access either way).
+func mixLine(key uint64, l addr.Line, mask uint64) int {
+	v := uint64(l) ^ key
+	v *= 0xff51afd7ed558ccd
+	v ^= v >> 33
+	v *= 0xc4ceb9fe1a85ec53
+	v ^= v >> 29
+	return int(v & mask)
+}
 
 // TDED exposes the inner structures (tests only).
 func (s *CeaserSlice) TDED() *TDED { return s.inner.TDED() }

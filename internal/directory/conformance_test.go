@@ -115,9 +115,9 @@ func conformanceSlices(t *testing.T, seed int64) []confSlice {
 		})
 	}
 	bu, bf := base(false), base(true)
-	rm := directory.NewRandMapped(directory.RandMapParams{
+	rm := directory.NewCeaser(directory.CeaserParams{ // bulk re-key
 		TDSets: sets, TDWays: 3, EDSets: sets, EDWays: 3,
-		RekeyEvery: 300, Seed: seed,
+		RekeyEvery: 300, RemapStep: sets, Seed: seed,
 	})
 	ce := directory.NewCeaser(directory.CeaserParams{
 		TDSets: sets, TDWays: 3, EDSets: sets, EDWays: 3,

@@ -133,9 +133,10 @@ func TestSliceFuzzAgainstOracle(t *testing.T) {
 		fuzzSlice(t, "way-partitioned", wp, 13, ops)
 	})
 	t.Run("rand-mapped", func(t *testing.T) {
-		fuzzSlice(t, "rand-mapped", NewRandMapped(RandMapParams{
+		// A remap step over every set: the bulk re-key.
+		fuzzSlice(t, "rand-mapped", NewCeaser(CeaserParams{
 			TDSets: 8, TDWays: 2, EDSets: 8, EDWays: 2,
-			RekeyEvery: 400, Seed: 4,
+			RekeyEvery: 400, RemapStep: 8, Seed: 4,
 		}), 14, ops)
 	})
 }

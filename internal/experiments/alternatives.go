@@ -44,17 +44,15 @@ type ALTRow struct {
 	InclusionVictims uint64
 }
 
-// Alternatives runs the three designs on SPEC mix2 and the directory attack.
+// Alternatives runs the four designs on SPEC mix2 and the two directory attacks.
 // ctx is checked between designs and inside each simulation leg.
 func Alternatives(ctx context.Context, o RunOpts) ([]ALTRow, error) {
-	configs := []struct {
-		name string
-		cfg  config.Config
-	}{
-		{"baseline", config.SkylakeX(o.Cores)},
-		{"way-partitioned", config.WayPartitionedConfig(o.Cores)},
-		{"rand-mapped", config.RandMappedConfig(o.Cores, 200_000)},
-		{"secdir", config.SecDirConfig(o.Cores)},
+	// Each row's label and its design-catalogue name.
+	configs := []struct{ name, design string }{
+		{"baseline", "baseline"},
+		{"way-partitioned", "waypart"},
+		{"rand-mapped", "randmap"},
+		{"secdir", "secdir"},
 	}
 	target := trace.T0Lines()[0]
 	attackers := make([]int, 0, o.Cores-1)
@@ -65,7 +63,10 @@ func Alternatives(ctx context.Context, o RunOpts) ([]ALTRow, error) {
 	var rows []ALTRow
 	for _, c := range configs {
 		row := ALTRow{Design: c.name, Buildable: true}
-		cfg := c.cfg
+		cfg, err := config.ByName(c.design, o.Cores)
+		if err != nil {
+			return nil, err
+		}
 		cfg.Seed = o.Seed
 
 		// Performance leg.

@@ -162,7 +162,7 @@ func PerfCost(name string, cores, perfAccesses int) (simNs, storageKB, areaMM2 f
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("leakage: %s performance probe: %w", name, err)
 	}
-	storage, banks, ok := area.DefenseStorage(name, cores)
+	storage, banks, ok := area.DefenseStorage(cfg)
 	var kb, mm2 float64
 	if ok {
 		kb = area.KB(storage.Total())

@@ -95,43 +95,18 @@ func AllConfigNames() []string {
 	return append(append([]string(nil), ConfigNames...), RivalNames...)
 }
 
-// rivalRekeyEvery is the remap cadence the leaderboard's ceaser configuration
-// uses: one incremental step every 20k slice operations sweeps a full epoch
-// in ~1.3M operations at the baseline's 64-step schedule.
-const rivalRekeyEvery = 20_000
-
-// ParseConfig resolves a configuration name at the given core count.
-// skylake-unfixed is the Skylake-X baseline with the Appendix A
-// implementation limitation (an ED→TD migration invalidates an Exclusive
-// private copy); skylake-fixed is the same geometry with the fix, leaking
-// only through genuine ED+TD set conflicts; secdir is the paper's defense.
-// The rival names resolve to the alternative defenses of the cross-defense
-// leaderboard (RivalNames). A core count the simulator cannot model (not a
-// power of two, or above config.MaxCores) is an error.
+// ParseConfig resolves a configuration name at the given core count
+// through the design catalogue (config.ByName): skylake-unfixed is the
+// Skylake-X baseline with the Appendix A implementation limitation (an
+// ED→TD migration invalidates an Exclusive private copy), skylake-fixed the
+// same geometry with the fix, secdir the paper's defense, and the rival
+// names the alternative defenses of the cross-defense leaderboard
+// (RivalNames). An unknown name, or a core count the simulator cannot model
+// (not a power of two, or above config.MaxCores), is an error.
 func ParseConfig(name string, cores int) (config.Config, error) {
-	var c config.Config
-	switch name {
-	case "skylake-unfixed", "baseline":
-		c = config.SkylakeX(cores)
-	case "skylake-fixed":
-		c = config.SkylakeX(cores)
-		c.AppendixAFix = true
-	case "secdir":
-		c = config.SecDirConfig(cores)
-	case "skewed":
-		c = config.SkewedConfig(cores)
-	case "dls":
-		c = config.DLSConfig(cores)
-	case "tagpart":
-		c = config.TagPartConfig(cores)
-	case "ceaser":
-		c = config.CeaserConfig(cores, rivalRekeyEvery)
-	default:
-		return config.Config{}, fmt.Errorf("leakage: unknown config %q (want one of %s)",
-			name, strings.Join(AllConfigNames(), ","))
-	}
-	if err := c.Validate(); err != nil {
-		return config.Config{}, fmt.Errorf("leakage: %s: %w", name, err)
+	c, err := config.ByName(name, cores)
+	if err != nil {
+		return config.Config{}, fmt.Errorf("leakage: %w", err)
 	}
 	return c, nil
 }

@@ -71,8 +71,8 @@ func ledgerSeed(f *testing.F) ([]byte, map[string][]byte) {
 
 // FuzzLedgerReplay feeds arbitrary ledger bytes through store.Open,
 // AttachStore and VerifyChain. Each must restore, or refuse with an error
-// naming a record; none may panic; and a ledger VerifyChain accepts must
-// also open and replay.
+// naming a record; none may panic; a ledger VerifyChain accepts must also
+// open and replay, and must re-encode to its own bytes.
 func FuzzLedgerReplay(f *testing.F) {
 	valid, artifacts := ledgerSeed(f)
 	f.Add(valid)
@@ -81,6 +81,8 @@ func FuzzLedgerReplay(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x01
 	f.Add(flipped)
 	f.Add(bytes.Replace(valid, []byte(`{"index":0,`), []byte(`{"index":0,"bogus":1,`), 1)) // unknown field
+	f.Add(bytes.Replace(valid, []byte("}\n"), []byte("} {\"junk\":1}\n"), 1))              // bytes after the value
+	f.Add(bytes.Replace(valid, []byte(`":`), []byte(`": `), 1))                            // re-spaced key
 
 	f.Fuzz(func(t *testing.T, ledger []byte) {
 		isValid := bytes.Equal(ledger, valid)
@@ -113,6 +115,18 @@ func FuzzLedgerReplay(f *testing.F) {
 
 		_, verr := store.VerifyChain(b)
 		verified := !refused("VerifyChain", verr)
+		for i, line := range lines {
+			if !verified {
+				break
+			}
+			var rec store.RunRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				t.Fatalf("record %d verified but does not decode: %v", i, err)
+			}
+			if enc, err := store.CanonicalJSON(rec); err != nil || !bytes.Equal(enc, line) {
+				t.Fatalf("record %d verified but does not re-encode to its own bytes (%v):\n%s\n%s", i, err, line, enc)
+			}
+		}
 		st, err := store.Open(b, store.Options{})
 		if refused("Open", err) {
 			if verified {

@@ -23,7 +23,7 @@ type ProgressFunc func(stage string, done, total int)
 // AttackReport is the structured outcome of the §2.2/§9 attack suite against
 // one directory design — the data the secdir-attack tool prints.
 type AttackReport struct {
-	// Design is the directory under attack ("baseline" or "secdir").
+	// Design names the directory under attack (a config.Names entry).
 	Design string `json:"design"`
 	// Rounds is the per-attack round count.
 	Rounds int `json:"rounds"`
@@ -58,18 +58,13 @@ type AttackReport struct {
 
 // RunAttackSuite mounts the full attack suite — evict+reload, prime+probe,
 // evict+time, AES key recovery — against one directory configuration,
-// checking ctx between stages (each stage is a bounded number of rounds, so
-// cancellation latency is one stage). Engines register their instruments in
-// reg (which may be nil); progress (which may be nil) is called after each of
-// the four stages with done counts offset..offset+3 of total.
-func RunAttackSuite(ctx context.Context, cfg config.Config, reg *metrics.Registry, rounds, evictionLines int, progress ProgressFunc, offset, total int) (AttackReport, error) {
-	report := AttackReport{Rounds: rounds}
-	switch cfg.Kind {
-	case config.SecDir:
-		report.Design = "secdir"
-	default:
-		report.Design = "baseline"
-	}
+// labelled design in the report and the progress stages, checking ctx
+// between stages (each stage is a bounded number of rounds, so cancellation
+// latency is one stage). Engines register their instruments in reg (which
+// may be nil); progress (which may be nil) is called after each of the four
+// stages with done counts offset..offset+3 of total.
+func RunAttackSuite(ctx context.Context, design string, cfg config.Config, reg *metrics.Registry, rounds, evictionLines int, progress ProgressFunc, offset, total int) (AttackReport, error) {
+	report := AttackReport{Design: design, Rounds: rounds}
 	step := func(stage string, n int) {
 		if progress != nil {
 			progress(stage, offset+n, total)
@@ -171,33 +166,6 @@ type ReplayResult struct {
 	// InclusionVictims counts private-cache lines lost to shared-structure
 	// conflicts.
 	InclusionVictims uint64 `json:"inclusion_victims"`
-}
-
-// replayConfig maps a replay design name to its configuration.
-func replayConfig(design string, cores int, seed int64) (config.Config, error) {
-	var cfg config.Config
-	switch design {
-	case "baseline":
-		cfg = config.SkylakeX(cores)
-	case "secdir":
-		cfg = config.SecDirConfig(cores)
-	case "waypart":
-		cfg = config.WayPartitionedConfig(cores)
-	case "randmap":
-		cfg = config.RandMappedConfig(cores, 200_000)
-	case "skewed":
-		cfg = config.SkewedConfig(cores)
-	case "dls":
-		cfg = config.DLSConfig(cores)
-	case "tagpart":
-		cfg = config.TagPartConfig(cores)
-	case "ceaser":
-		cfg = config.CeaserConfig(cores, 200_000)
-	default:
-		return cfg, fmt.Errorf("unknown design %q", design)
-	}
-	cfg.Seed = seed
-	return cfg, nil
 }
 
 // ExperimentResult is one experiment's table, exactly as experiments.Table
@@ -327,21 +295,20 @@ func runExperiments(ctx context.Context, spec JobSpec, reg *metrics.Registry, pr
 
 // runAttack mounts the attack suite against the requested design(s).
 func runAttack(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
-	var cfgs []config.Config
-	switch spec.Design {
-	case "baseline":
-		cfgs = []config.Config{config.SkylakeX(spec.Cores)}
-	case "secdir":
-		cfgs = []config.Config{config.SecDirConfig(spec.Cores)}
-	default: // "both" — Normalize guarantees the set
-		cfgs = []config.Config{config.SkylakeX(spec.Cores), config.SecDirConfig(spec.Cores)}
+	designs := []string{spec.Design}
+	if spec.Design == "both" {
+		designs = []string{"baseline", "secdir"}
 	}
 	const stagesPerDesign = 4
-	total := stagesPerDesign * len(cfgs)
-	reports := make([]AttackReport, 0, len(cfgs))
-	for i, cfg := range cfgs {
+	total := stagesPerDesign * len(designs)
+	reports := make([]AttackReport, 0, len(designs))
+	for i, design := range designs {
+		cfg, err := config.ByName(design, spec.Cores)
+		if err != nil {
+			return nil, err
+		}
 		cfg.Seed = spec.Seed
-		rep, err := RunAttackSuite(ctx, cfg, reg, spec.Rounds, spec.EvictionLines,
+		rep, err := RunAttackSuite(ctx, design, cfg, reg, spec.Rounds, spec.EvictionLines,
 			progress, i*stagesPerDesign, total)
 		if err != nil {
 			return nil, err
@@ -353,10 +320,11 @@ func runAttack(ctx context.Context, spec JobSpec, reg *metrics.Registry, progres
 
 // runReplay runs one workload on one design.
 func runReplay(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
-	cfg, err := replayConfig(spec.Design, spec.Cores, spec.Seed)
+	cfg, err := config.ByName(spec.Design, spec.Cores)
 	if err != nil {
 		return nil, err
 	}
+	cfg.Seed = spec.Seed
 	w, err := ParseWorkload(spec.Workload, spec.Cores, spec.Seed)
 	if err != nil {
 		return nil, err

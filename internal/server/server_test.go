@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"secdir/internal/area"
 	"secdir/internal/config"
 	"secdir/internal/experiments"
 	"secdir/internal/golden"
@@ -649,6 +651,67 @@ func TestBadSpecRejected(t *testing.T) {
 		}
 		if resp.StatusCode != want {
 			t.Fatalf("submit %s: HTTP %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
+// TestDesignCatalogueIngress: every ingress resolves design names through
+// the one catalogue. Each config.Names entry (skylake-fixed included) is a
+// valid replay and attack design, a leakage config and a costed design; a
+// name means the same
+// configuration on every path; and an unknown design is refused with a 400
+// that lists the catalogue.
+func TestDesignCatalogueIngress(t *testing.T) {
+	for _, name := range config.Names() {
+		for _, kind := range []JobKind{KindReplay, KindAttack} {
+			spec := JobSpec{Kind: kind, Design: name}
+			if err := spec.Normalize(); err != nil || spec.Design != name {
+				t.Errorf("%s design %q: normalized to %q, %v", kind, name, spec.Design, err)
+			}
+		}
+		cfg, err := leakage.ParseConfig(name, 8)
+		if err != nil {
+			t.Errorf("leakage.ParseConfig(%q): %v", name, err)
+			continue
+		}
+		if _, _, ok := area.DefenseStorage(cfg); !ok {
+			t.Errorf("DefenseStorage has no cost for %q (kind %v)", name, cfg.Kind)
+		}
+	}
+
+	replay := JobSpec{Kind: KindReplay, Design: "ceaser"}
+	if err := replay.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	fromReplay, err := config.ByName(replay.Design, replay.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLeaderboard, err := leakage.ParseConfig("ceaser", 8) // as RunLeaderboard resolves its row
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromReplay, fromLeaderboard) {
+		t.Errorf("ceaser differs between ingresses:\nreplay      %+v\nleaderboard %+v", fromReplay, fromLeaderboard)
+	}
+
+	s := newTestServer(t, quickConfig())
+	for _, kind := range []string{"replay", "attack"} {
+		body := fmt.Sprintf(`{"kind":%q,"design":"nosuch"}`, kind)
+		resp, err := http.Post(s.ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e APIError
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s design nosuch: HTTP %d, want 400", kind, resp.StatusCode)
+		}
+		for _, name := range config.Names() {
+			if !strings.Contains(e.Error, name) {
+				t.Errorf("%s design nosuch: error %q does not list %q", kind, e.Error, name)
+			}
 		}
 	}
 }

@@ -62,9 +62,10 @@ type JobSpec struct {
 	// Seed makes runs reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
 
-	// Design (KindAttack, KindReplay) selects the directory: "baseline",
-	// "secdir", "waypart", "randmap", or — attack jobs only — "both"
-	// (the default there; replay defaults to "secdir").
+	// Design (KindAttack, KindReplay) selects the directory: any name of
+	// the design catalogue (config.Names), or — attack jobs only — "both",
+	// baseline and secdir in turn (the default there; replay defaults to
+	// "secdir").
 	Design string `json:"design,omitempty"`
 
 	// Rounds and EvictionLines (KindAttack) size the attack (defaults 40/32).
@@ -134,10 +135,10 @@ func (s *JobSpec) Normalize() error {
 		if s.Design == "" {
 			s.Design = "both"
 		}
-		switch s.Design {
-		case "baseline", "secdir", "both":
-		default:
-			return fmt.Errorf("attack design must be baseline, secdir, or both, got %q", s.Design)
+		if s.Design != "both" {
+			if _, err := config.ByName(s.Design, s.Cores); err != nil {
+				return err
+			}
 		}
 		if s.Rounds == 0 {
 			s.Rounds = 40
@@ -152,10 +153,8 @@ func (s *JobSpec) Normalize() error {
 		if s.Design == "" {
 			s.Design = "secdir"
 		}
-		switch s.Design {
-		case "baseline", "secdir", "waypart", "randmap", "skewed", "dls", "tagpart", "ceaser":
-		default:
-			return fmt.Errorf("replay design must be baseline, secdir, waypart, randmap, skewed, dls, tagpart, or ceaser, got %q", s.Design)
+		if _, err := config.ByName(s.Design, s.Cores); err != nil {
+			return err
 		}
 		if s.Workload == "" {
 			s.Workload = "mix0"

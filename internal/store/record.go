@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -164,13 +165,23 @@ func sealRecord(rec *RunRecord) ([]byte, error) {
 }
 
 // DecodeRecord parses one ledger line strictly: unknown fields are errors,
-// because a record that round-trips lossily could not be re-hashed.
+// because a record that round-trips lossily could not be re-hashed, and the
+// line must be byte-identical to the record's canonical JSON — the bytes
+// sealRecord wrote and the chain hash covers — so appended bytes, re-spacing
+// or reordered keys cannot ride along unhashed.
 func DecodeRecord(line []byte) (RunRecord, error) {
 	var rec RunRecord
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
 		return rec, err
+	}
+	canon, err := CanonicalJSON(rec)
+	if err != nil {
+		return rec, err
+	}
+	if !bytes.Equal(canon, line) {
+		return rec, errors.New("line is not the canonical JSON of its record (bytes added, re-spaced or reordered)")
 	}
 	return rec, nil
 }

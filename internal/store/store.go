@@ -232,7 +232,7 @@ func (s *Store) Records() ([]RunRecord, error) {
 }
 
 // ScanRecords decodes b's ledger in chain order and calls fn with each
-// record. It stops at the first line that does not parse, with an error
+// record. It stops at the first line DecodeRecord refuses, with an error
 // naming the record, or at the first error fn returns, which it passes
 // through. Like ScanLedger it holds one record at a time, so callers that
 // fold the ledger into a summary run in memory independent of its length.

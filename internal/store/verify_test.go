@@ -87,6 +87,41 @@ func TestVerifyPinpointsCorruptedRecord(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsUnhashedBytes: a ledger line verifies only if it is
+// byte-identical to its record's canonical JSON, the bytes the chain hash
+// covers. Edits that leave the decoded record unchanged — bytes appended
+// after the value, re-spaced keys — must fail and name the record.
+func TestVerifyRejectsUnhashedBytes(t *testing.T) {
+	tampers := []struct {
+		name string
+		edit func(line []byte) []byte
+	}{
+		{"appended value", func(line []byte) []byte { return append(line, ` {"junk":1}`...) }},
+		{"re-spaced key", func(line []byte) []byte { return bytes.Replace(line, []byte(`":`), []byte(`": `), 1) }},
+	}
+	for _, tc := range tampers {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewMem()
+			s, err := Open(b, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillStore(t, s, 3)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			b.ledger[1] = tc.edit(bytes.Clone(b.ledger[1]))
+			rep, err := VerifyChain(b)
+			if err == nil {
+				t.Fatalf("tampered ledger verified clean: %+v", rep)
+			}
+			if !strings.Contains(err.Error(), "record 1") {
+				t.Fatalf("verification error does not name record 1: %v", err)
+			}
+		})
+	}
+}
+
 // TestVerifyPinpointsTruncatedArtifact: truncating a persisted artifact
 // makes VerifyChain fail naming the record that references it.
 func TestVerifyPinpointsTruncatedArtifact(t *testing.T) {

@@ -68,9 +68,6 @@ const (
 	// WayPartitioned is the §1/§11 DAWG-style alternative: secure but
 	// inflexible (unbuildable beyond 11 cores at baseline geometry).
 	WayPartitioned = config.WayPartitioned
-	// RandMapped is the §11 CEASER-style alternative: randomized set
-	// indices defeat targeted eviction sets but only slow down floods.
-	RandMapped = config.RandMapped
 )
 
 // Access levels, re-exported for classifying AccessResult.Level.
@@ -112,7 +109,7 @@ func SecDirConfig(cores int) Config { return config.SecDirConfig(cores) }
 func WayPartitionedConfig(cores int) Config { return config.WayPartitionedConfig(cores) }
 
 // RandMappedConfig returns the CEASER-style randomized directory, re-keying
-// every rekeyEvery slice operations.
+// all of it every rekeyEvery slice operations.
 func RandMappedConfig(cores, rekeyEvery int) Config {
 	return config.RandMappedConfig(cores, rekeyEvery)
 }
