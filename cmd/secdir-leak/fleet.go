@@ -18,7 +18,7 @@ import (
 // the job's progress stream to progress (nil = discard) until the job ends,
 // and returns its result: a *leakage.Report for a leak job, a
 // *leakage.Leaderboard for a leaderboard job.
-func runFleet(ctx context.Context, baseURL string, spec server.JobSpec, progress func(stage string, done, total int)) (any, error) {
+func runFleet(ctx context.Context, baseURL string, spec server.JobSpec, progress server.ProgressFunc) (any, error) {
 	base := strings.TrimRight(strings.TrimSpace(baseURL), "/")
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -62,7 +62,7 @@ func runFleet(ctx context.Context, baseURL string, spec server.JobSpec, progress
 // streamJob follows a job's NDJSON event stream, handing each per-cell
 // progress event to progress, and returns the terminal state and error
 // message — or the zero state if the stream ended without a terminal event.
-func streamJob(ctx context.Context, url string, progress func(stage string, done, total int)) (server.JobState, string) {
+func streamJob(ctx context.Context, url string, progress server.ProgressFunc) (server.JobState, string) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return "", ""

@@ -6,16 +6,19 @@
 //
 // Usage:
 //
-//	secdir-leak                                        # full config x strategy sweep
+//	secdir-leak                                        # default config x strategy sweep
 //	secdir-leak -config skylake-unfixed -strategy primeprobe
 //	secdir-leak -config secdir -trials 2000 -json
 //	secdir-leak -leaderboard                           # race the rival defenses
 //	secdir-leak -fleet http://host0:8372 -trials 5000  # run on a worker fleet
 //
-// With -fleet the sweep is submitted to a secdir-serve coordinator, which
-// shards the trials across its workers; trial seeding is worker-count
-// invariant, so the merged report is bit-identical to a local run of the
-// same parameters.
+// The flags build the leak (or, with -leaderboard, leaderboard) job that
+// secdir-serve accepts, and a local run executes it through server.Run, the
+// server's own runner. With -fleet the same job is submitted to a
+// secdir-serve coordinator, which shards the trials across its workers;
+// trial seeding is worker-count invariant, so the merged report is
+// bit-identical to a local run of the same parameters. Progress on stderr
+// counts trials over the whole grid.
 package main
 
 import (
@@ -36,17 +39,19 @@ import (
 )
 
 func main() {
-	cfgSpec := flag.String("config", "all", fmt.Sprintf("comma-separated configs from %s (all = %s)",
-		strings.Join(config.Names(), ","), strings.Join(leakage.AllConfigNames(), ",")))
-	stratSpec := flag.String("strategy", "suite", "comma-separated strategies: primeprobe,evictreload,evicttime,floodreload,monitor (suite = all but floodreload)")
+	cfgSpec := flag.String("config", "", fmt.Sprintf("comma-separated configs from %s; all = %s (default: %s, or the leaderboard roster %s)",
+		strings.Join(config.Names(), ","), strings.Join(leakage.AllConfigNames(), ","),
+		strings.Join(leakage.ConfigNames, ","), strings.Join(leakage.LeaderboardNames, ",")))
+	stratSpec := flag.String("strategy", "", fmt.Sprintf("comma-separated strategies: primeprobe,evictreload,evicttime,floodreload,monitor; suite = all but floodreload (default: suite, or %s with -leaderboard)",
+		strings.Join(leakage.LeaderboardStrategies, ",")))
 	trials := flag.Int("trials", 1000, "independent seeded trials per (config,strategy) cell")
-	rounds := flag.Int("rounds", 16, "attack rounds per trial (half victim-active, half idle)")
+	rounds := flag.Int("rounds", leakage.DefaultRounds, "attack rounds per trial (half victim-active, half idle)")
 	cores := flag.Int("cores", 8, "simulated cores (power of two)")
 	evLines := flag.Int("evlines", 0, "eviction-set size override (0 = strategy default)")
 	workers := flag.Int("workers", 0, "trial-runner goroutines (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "master seed pinning trials, schedules and bootstraps")
-	confidence := flag.Float64("confidence", 0.99, "bootstrap confidence level for the AUC interval")
-	resamples := flag.Int("resamples", 400, fmt.Sprintf("bootstrap replicates per interval (at most %d)", leakage.MaxResamples))
+	confidence := flag.Float64("confidence", leakage.DefaultConfidence, "bootstrap confidence level for the AUC interval")
+	resamples := flag.Int("resamples", leakage.DefaultResamples, fmt.Sprintf("bootstrap replicates per interval (at most %d)", leakage.MaxResamples))
 	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of a table")
 	leaderboard := flag.Bool("leaderboard", false, "race the cross-defense leaderboard (baseline, secdir and the rival designs) with performance and cost columns")
 	fleetURL := flag.String("fleet", "", "secdir-serve coordinator base URL: run the sweep on its worker fleet instead of locally")
@@ -54,8 +59,27 @@ func main() {
 	mflags := metrics.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *resamples < 0 || *resamples > leakage.MaxResamples {
-		fmt.Fprintf(os.Stderr, "-resamples must be in [0, %d], got %d\n", leakage.MaxResamples, *resamples)
+	// The sweep is the job a secdir-serve would run for the same request;
+	// Normalize fills the roster defaults and refuses what the server would.
+	spec := server.JobSpec{
+		Kind:          server.KindLeak,
+		Configs:       list(*cfgSpec),
+		Strategies:    list(*stratSpec),
+		Cores:         *cores,
+		Trials:        *trials,
+		Rounds:        *rounds,
+		EvictionLines: *evLines,
+		Workers:       *workers,
+		Seed:          *seed,
+		Confidence:    *confidence,
+		Resamples:     *resamples,
+		Fleet:         *fleetURL != "",
+	}
+	if *leaderboard {
+		spec.Kind = server.KindLeaderboard
+	}
+	if err := spec.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if err := mflags.Start(); err != nil {
@@ -64,21 +88,10 @@ func main() {
 	}
 	reg := mflags.Registry()
 
-	configs, err := leakage.ParseConfigList(*cfgSpec, *cores)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	strategies, err := leakage.ParseStrategyList(*stratSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var progress func(stage string, done, total int)
+	var progress server.ProgressFunc
 	if !*quiet {
 		var mu sync.Mutex
 		progress = func(stage string, done, total int) {
@@ -88,64 +101,12 @@ func main() {
 		}
 	}
 
-	// Explicit -config/-strategy selections narrow a leaderboard race; the
-	// flag defaults fall through to the leaderboard's own roster
-	// (LeaderboardNames × primeprobe+evictreload).
-	if *leaderboard && *cfgSpec == "all" {
-		configs = nil
-	}
-	if *leaderboard && *stratSpec == "suite" {
-		strategies = nil
-	}
-
 	var result any // *leakage.Report or *leakage.Leaderboard
-	switch {
-	case *fleetURL != "":
-		spec := server.JobSpec{
-			Kind:          server.KindLeak,
-			Fleet:         true,
-			Configs:       configs,
-			Strategies:    leakage.StrategyNames(strategies),
-			Cores:         *cores,
-			Trials:        *trials,
-			Rounds:        *rounds,
-			EvictionLines: *evLines,
-			Seed:          *seed,
-			Confidence:    *confidence,
-			Resamples:     *resamples,
-		}
-		if *leaderboard {
-			spec.Kind = server.KindLeaderboard
-		}
+	var err error
+	if spec.Fleet {
 		result, err = runFleet(ctx, *fleetURL, spec, progress)
-	case *leaderboard:
-		result, err = leakage.RunLeaderboard(ctx, leakage.LeaderboardOptions{
-			Configs:       configs,
-			Strategies:    strategies,
-			Cores:         *cores,
-			Trials:        *trials,
-			Rounds:        *rounds,
-			EvictionLines: *evLines,
-			Workers:       *workers,
-			Seed:          *seed,
-			Metrics:       reg,
-			Progress:      progress,
-		})
-	default:
-		result, err = leakage.RunReport(ctx, leakage.ReportOptions{
-			Configs:       configs,
-			Strategies:    strategies,
-			Cores:         *cores,
-			Trials:        *trials,
-			Rounds:        *rounds,
-			EvictionLines: *evLines,
-			Workers:       *workers,
-			Seed:          *seed,
-			Confidence:    *confidence,
-			Resamples:     *resamples,
-			Metrics:       reg,
-			Progress:      progress,
-		})
+	} else {
+		result, err = server.Run(ctx, spec, reg, progress)
 	}
 	if err == nil {
 		err = printResult(result, *jsonOut)
@@ -157,6 +118,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// list splits a comma-separated flag value; empty means none, so the job
+// kind's default roster applies.
+func list(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
 }
 
 // printResult writes a *leakage.Report or *leakage.Leaderboard to stdout as

@@ -48,8 +48,35 @@ func TestCoresBeyondBitsetExitsTwo(t *testing.T) {
 // once locally, once with -fleet against an in-process coordinator over two
 // worker servers — and demands byte-identical -json output.
 func TestFleetJSONMatchesLocal(t *testing.T) {
-	newServer := func(t *testing.T) (*server.Server, *httptest.Server) {
-		t.Helper()
+	run := cliRunner(t, "-config", "skylake-unfixed,secdir", "-strategy", "primeprobe,evictreload",
+		"-trials", "40", "-rounds", "8", "-seed", "7", "-quiet", "-json")
+	local := run()
+	remote := run("-fleet", fleetURL(t))
+	if !bytes.Equal(remote, local) {
+		t.Errorf("-fleet -json output differs from local -json output:\nfleet:\n%s\nlocal:\n%s", remote, local)
+	}
+}
+
+// TestFleetLeaderboardJSONMatchesLocal does the same for a leaderboard at a
+// non-default bootstrap confidence, which both paths must honour.
+func TestFleetLeaderboardJSONMatchesLocal(t *testing.T) {
+	run := cliRunner(t, "-leaderboard", "-config", "skylake-unfixed,secdir", "-strategy", "primeprobe",
+		"-trials", "40", "-rounds", "16", "-seed", "7", "-confidence", "0.95", "-quiet", "-json")
+	local := run()
+	remote := run("-fleet", fleetURL(t))
+	if !bytes.Equal(remote, local) {
+		t.Errorf("-fleet -json output differs from local -json output:\nfleet:\n%s\nlocal:\n%s", remote, local)
+	}
+	if !bytes.Contains(local, []byte(`"confidence": 0.95`)) {
+		t.Errorf("leaderboard rows do not carry -confidence 0.95:\n%s", local)
+	}
+}
+
+// fleetURL starts a coordinator server over two worker servers, all
+// in-process, and returns the coordinator's base URL.
+func fleetURL(t *testing.T) string {
+	t.Helper()
+	newServer := func() (*server.Server, *httptest.Server) {
 		cfg := config.DefaultServerConfig()
 		cfg.Workers = 2
 		srv, err := server.New(cfg, nil)
@@ -65,16 +92,19 @@ func TestFleetJSONMatchesLocal(t *testing.T) {
 		})
 		return srv, ts
 	}
-	_, w1 := newServer(t)
-	_, w2 := newServer(t)
-	co, cts := newServer(t)
+	_, w1 := newServer()
+	_, w2 := newServer()
+	co, cts := newServer()
 	co.AttachFleet(fleet.New(fleet.Config{Workers: []string{w1.URL, w2.URL}}))
+	return cts.URL
+}
 
-	run := func(extra ...string) []byte {
+// cliRunner returns a runner of the CLI with args plus the extra ones, which
+// returns its stdout and fails the test on a non-zero exit.
+func cliRunner(t *testing.T, args ...string) func(extra ...string) []byte {
+	return func(extra ...string) []byte {
 		t.Helper()
-		args := append([]string{"-config", "skylake-unfixed,secdir", "-strategy", "primeprobe,evictreload",
-			"-trials", "40", "-rounds", "8", "-seed", "7", "-quiet", "-json"}, extra...)
-		cmd := exec.Command(os.Args[0], args...)
+		cmd := exec.Command(os.Args[0], append(append([]string(nil), args...), extra...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
@@ -83,10 +113,5 @@ func TestFleetJSONMatchesLocal(t *testing.T) {
 			t.Fatalf("secdir-leak %v: %v\n%s", extra, err, stderr.Bytes())
 		}
 		return out
-	}
-	local := run()
-	remote := run("-fleet", cts.URL)
-	if !bytes.Equal(remote, local) {
-		t.Errorf("-fleet -json output differs from local -json output:\nfleet:\n%s\nlocal:\n%s", remote, local)
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"secdir/internal/metrics"
 )
 
-// Coordinator owns a fleet of secdir-serve workers and runs leak/leaderboard
-// sweeps across them. Create one with New; it immediately starts probing its
+// Coordinator owns a fleet of secdir-serve workers and runs leakage sweeps
+// across them. Create one with New; it immediately starts probing its
 // workers and stops via Drain.
 type Coordinator struct {
 	cfg   Config
@@ -236,104 +236,53 @@ type shardResult struct {
 	millis int64
 }
 
-// RunLeak executes a distributed leak sweep and merges it into the exact
-// Report a single-process leakage.RunReport of the same spec produces, along
-// with the per-shard merge provenance (which worker's result each trial range
-// came from). progress (may be nil) receives per-cell trial counts offset so
-// done climbs monotonically per stage, matching the local job runner's
-// convention.
-func (c *Coordinator) RunLeak(ctx context.Context, spec SweepSpec, progress func(stage string, done, total int)) (*leakage.Report, []ShardProvenance, error) {
-	spec.Kind = SweepLeak
-	cells, base, err := c.begin(spec)
+// Run executes the sweep o describes across the fleet: it shards the cells
+// of o.Plan() into ShardTrials-sized trial ranges, drives them to completion
+// on the workers, and merges them into the exact Report leakage.RunReport(o)
+// produces in-process, along with the per-shard merge provenance (which
+// worker's result each trial range came from). o.Progress receives
+// RunReport's grid-wide trial counts. o.Workers and o.Metrics do not apply:
+// each worker fans a shard out over Config.LocalWorkers and keeps its
+// engines' instruments.
+func (c *Coordinator) Run(ctx context.Context, o leakage.ReportOptions) (*leakage.Report, []ShardProvenance, error) {
+	plan, err := o.Plan()
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := c.begin(); err != nil {
 		return nil, nil, err
 	}
 	defer c.runs.Done()
-	prov, err := c.runShards(ctx, cells, progress)
+	cells := make([]*cell, len(plan))
+	for i, opts := range plan {
+		cells[i] = &cell{opts: opts, results: make([]leakage.TrialResult, 0, opts.Trials)}
+	}
+	prov, err := c.runShards(ctx, cells, o.Progress)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &leakage.Report{
-		Trials:     base.Trials,
-		Rounds:     base.Rounds,
-		Seed:       base.Seed,
-		Confidence: base.Confidence,
-	}
-	for _, cl := range cells {
-		v, err := leakage.MergeVerdict(cl.opts, cl.results)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", cl.stageLabel(), err)
+	verdicts := make([]leakage.Verdict, len(cells))
+	for i, cl := range cells {
+		if verdicts[i], err = leakage.MergeVerdict(cl.opts, cl.results); err != nil {
+			return nil, nil, fmt.Errorf("fleet: %s: %w", cl.opts.Stage(), err)
 		}
-		rep.Verdicts = append(rep.Verdicts, v)
 	}
-	return rep, prov, nil
+	return leakage.NewReport(plan, verdicts), prov, nil
 }
 
-// RunLeaderboard executes a distributed cross-defense race: verdicts merge
-// from remote shards; the deterministic performance probe and Table 7 cost
-// columns are computed locally. The result is bit-identical to
-// leakage.RunLeaderboard of the same spec; the second return value is the
-// per-shard merge provenance, as in RunLeak.
-func (c *Coordinator) RunLeaderboard(ctx context.Context, spec SweepSpec, progress func(stage string, done, total int)) (*leakage.Leaderboard, []ShardProvenance, error) {
-	spec.Kind = SweepLeaderboard
-	cells, base, err := c.begin(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer c.runs.Done()
-	prov, err := c.runShards(ctx, cells, progress)
-	if err != nil {
-		return nil, nil, err
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 8
-	}
-	lb := &leakage.Leaderboard{Trials: base.Trials, Rounds: base.Rounds, Seed: base.Seed}
-	var curName string
-	var ns, kb, mm2 float64
-	for _, cl := range cells {
-		if cl.name != curName {
-			curName = cl.name
-			ns, kb, mm2, err = leakage.PerfCost(cl.name, cores, spec.PerfAccesses)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		v, err := leakage.MergeVerdict(cl.opts, cl.results)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", cl.stageLabel(), err)
-		}
-		lb.Rows = append(lb.Rows, leakage.LeaderboardRow{
-			Verdict:     v,
-			SimNsAccess: ns,
-			StorageKB:   kb,
-			AreaMM2:     mm2,
-		})
-	}
-	return lb, prov, nil
-}
-
-// begin validates sweep admission (not draining, at least one worker) and
-// plans the cells.
-func (c *Coordinator) begin(spec SweepSpec) ([]*cell, leakage.Options, error) {
+// begin admits a sweep: the coordinator is not draining and has at least
+// one worker. The caller must call c.runs.Done when the sweep ends.
+func (c *Coordinator) begin() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.draining {
-		c.mu.Unlock()
-		return nil, leakage.Options{}, fmt.Errorf("fleet: coordinator is draining; not accepting sweeps")
+		return fmt.Errorf("fleet: coordinator is draining; not accepting sweeps")
 	}
 	if len(c.workers) == 0 {
-		c.mu.Unlock()
-		return nil, leakage.Options{}, fmt.Errorf("fleet: no workers (configure -fleet-workers)")
+		return fmt.Errorf("fleet: no workers (configure -fleet-workers)")
 	}
 	c.runs.Add(1)
-	c.mu.Unlock()
-	cells, base, err := planCells(spec)
-	if err != nil {
-		c.runs.Done()
-		return nil, base, err
-	}
-	return cells, base, nil
+	return nil
 }
 
 // runShards is the sweep scheduler: it decomposes every cell into
@@ -346,6 +295,7 @@ func (c *Coordinator) runShards(ctx context.Context, cells []*cell, progress fun
 	var tasks []*task
 	total := 0
 	for _, cl := range cells {
+		cl.offset = total
 		total += cl.opts.Trials
 		for start := 0; start < cl.opts.Trials; start += c.cfg.ShardTrials {
 			count := min(c.cfg.ShardTrials, cl.opts.Trials-start)
@@ -353,8 +303,8 @@ func (c *Coordinator) runShards(ctx context.Context, cells []*cell, progress fun
 				id:   len(tasks),
 				cell: cl,
 				req: ShardRequest{
-					Config:        cl.name,
-					Strategy:      cl.strategy,
+					Config:        cl.opts.ConfigName,
+					Strategy:      cl.opts.Strategy.Name(),
 					Cores:         cl.opts.Config.Cores,
 					Trials:        cl.opts.Trials,
 					Rounds:        cl.opts.Rounds,
@@ -550,7 +500,7 @@ func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, prog
 		*remaining--
 		a.w.done++
 		*prov = append(*prov, ShardProvenance{
-			Cell:     t.cell.stageLabel(),
+			Cell:     t.cell.opts.Stage(),
 			Start:    t.req.Start,
 			Count:    t.req.Count,
 			Worker:   a.w.url,
@@ -559,7 +509,7 @@ func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, prog
 		})
 		t.cell.results = append(t.cell.results, r.trials...)
 		t.cell.done += len(r.trials)
-		stage, done, offset := t.cell.stageLabel(), t.cell.done, t.cell.offset
+		stage, done, offset := t.cell.opts.Stage(), t.cell.done, t.cell.offset
 		for other := range t.assigns {
 			other.requeue = true
 			other.cancel()
@@ -615,7 +565,7 @@ func (c *Coordinator) settle(r shardResult, remaining *int, failErr *error, prog
 	if t.attempts >= c.cfg.MaxAttempts {
 		if *failErr == nil {
 			*failErr = fmt.Errorf("fleet: shard %s trials [%d,%d): %d attempts exhausted: %w",
-				t.cell.stageLabel(), t.req.Start, t.req.Start+t.req.Count, t.attempts, r.err)
+				t.cell.opts.Stage(), t.req.Start, t.req.Start+t.req.Count, t.attempts, r.err)
 		}
 		c.mu.Unlock()
 		return

@@ -1,11 +1,15 @@
 // Package fleet scales the leakage lab from one process to a coordinator and
-// N secdir-serve workers. A leak or leaderboard sweep is embarrassingly
-// parallel — (config × strategy × trial) — and the lab's trials are seeded
-// from (master seed, trial index) alone, so the coordinator can decompose a
-// sweep into contiguous per-trial-range shards, dispatch them to any set of
-// workers over the existing HTTP/JSON + NDJSON protocol, and merge the
-// per-trial streams back into a verdict bit-identical to a single-process
-// run (leakage.RunShard / leakage.MergeVerdict are the two hooks).
+// N secdir-serve workers. A sweep has one plan, leakage.ReportOptions.Plan:
+// its (config, strategy) cells in row-major order, every default resolved.
+// leakage.RunReport executes that plan in-process; Coordinator.Run is the
+// second executor. The lab's trials are seeded from (master seed, trial
+// index) alone, so the coordinator cuts every planned cell into contiguous
+// trial-range shards, dispatches them to any set of workers over the
+// existing HTTP/JSON + NDJSON protocol, and merges the per-trial streams
+// back into a Report bit-identical to RunReport's (leakage.RunShard /
+// leakage.MergeVerdict are the two hooks). A leaderboard is that Report
+// joined with cost columns (leakage.NewLeaderboard), so the fleet has no
+// leaderboard path of its own.
 //
 // Robustness is the point of the package:
 //

@@ -17,6 +17,7 @@ import (
 	"secdir/internal/config"
 	"secdir/internal/fleet"
 	"secdir/internal/golden"
+	"secdir/internal/leakage"
 	"secdir/internal/metrics"
 	"secdir/internal/server"
 )
@@ -75,10 +76,9 @@ func TestFleetReproducesLeakGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("golden fleet sweep is too heavy under -race; sched_test.go races the scheduler")
 	}
-	spec := fleet.SweepSpec{
-		Kind:          fleet.SweepLeak,
+	sweep := leakage.ReportOptions{
 		Configs:       []string{"skylake-unfixed", "secdir"},
-		Strategies:    []string{"primeprobe", "evictreload"},
+		Strategies:    strategies(t, "primeprobe", "evictreload"),
 		Trials:        goldenTrials,
 		Rounds:        goldenRounds,
 		EvictionLines: goldenEvLines,
@@ -100,14 +100,16 @@ func TestFleetReproducesLeakGolden(t *testing.T) {
 
 			var mu sync.Mutex
 			events := map[string][]int{}
-			rep, prov, err := c.RunLeak(context.Background(), spec, func(stage string, done, tot int) {
+			o := sweep
+			o.Progress = func(stage string, done, tot int) {
 				mu.Lock()
 				defer mu.Unlock()
 				if tot != total {
 					t.Errorf("progress total = %d, want %d", tot, total)
 				}
 				events[stage] = append(events[stage], done)
-			})
+			}
+			rep, prov, err := c.Run(context.Background(), o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,15 +235,21 @@ func TestFleetLeaderboardGoldenSurvivesWorkerKill(t *testing.T) {
 	})
 
 	start := time.Now()
-	lb, prov, err := c.RunLeaderboard(context.Background(), fleet.SweepSpec{
-		Kind:          fleet.SweepLeaderboard,
+	rep, prov, err := c.Run(context.Background(), leakage.ReportOptions{
+		Configs:       leakage.LeaderboardNames,
+		Strategies:    strategies(t, leakage.LeaderboardStrategies...),
 		Trials:        lbTrials,
 		Rounds:        lbRounds,
 		EvictionLines: goldenEvLines,
 		Seed:          goldenSeed,
-	}, func(stage string, done, total int) {
-		t.Logf("%7.2fs %-24s %d/%d", time.Since(start).Seconds(), stage, done, total)
+		Progress: func(stage string, done, total int) {
+			t.Logf("%7.2fs %-24s %d/%d", time.Since(start).Seconds(), stage, done, total)
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := leakage.NewLeaderboard(rep, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

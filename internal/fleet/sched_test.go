@@ -193,23 +193,21 @@ func (s *stubWorker) requests() int {
 	return s.shards
 }
 
-// localReport runs the same sweep single-process for bit-identical
-// comparison against the fleet merge.
-func localReport(t *testing.T, spec fleet.SweepSpec) *leakage.Report {
+// strategies resolves strategy names for a sweep's options.
+func strategies(t *testing.T, names ...string) []leakage.Strategy {
 	t.Helper()
-	strategies, err := leakage.ParseStrategyList(strings.Join(spec.Strategies, ","))
+	ss, err := leakage.ParseStrategyList(strings.Join(names, ","))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := leakage.RunReport(context.Background(), leakage.ReportOptions{
-		Configs:       spec.Configs,
-		Strategies:    strategies,
-		Cores:         spec.Cores,
-		Trials:        spec.Trials,
-		Rounds:        spec.Rounds,
-		EvictionLines: spec.EvictionLines,
-		Seed:          spec.Seed,
-	})
+	return ss
+}
+
+// localReport runs the same sweep single-process for bit-identical
+// comparison against the fleet merge.
+func localReport(t *testing.T, o leakage.ReportOptions) *leakage.Report {
+	t.Helper()
+	rep, err := leakage.RunReport(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +237,14 @@ func TestRetryBackoffFlakyWorker(t *testing.T) {
 		Metrics:           reg,
 	})
 
-	spec := fleet.SweepSpec{
-		Kind:       fleet.SweepLeak,
+	spec := leakage.ReportOptions{
 		Configs:    []string{"skylake-unfixed"},
-		Strategies: []string{"evictreload"},
+		Strategies: strategies(t, "evictreload"),
 		Trials:     20, // 4 shards of 5
 		Rounds:     8,
 		Seed:       3,
 	}
-	rep, _, err := c.RunLeak(context.Background(), spec, nil)
+	rep, _, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +287,13 @@ func TestShardAttemptsExhausted(t *testing.T) {
 		Metrics:           reg,
 	})
 
-	_, _, err := c.RunLeak(context.Background(), fleet.SweepSpec{
+	_, _, err := c.Run(context.Background(), leakage.ReportOptions{
 		Configs:    []string{"secdir"},
-		Strategies: []string{"evictreload"},
+		Strategies: strategies(t, "evictreload"),
 		Trials:     10, // one shard
 		Rounds:     4,
 		Seed:       1,
-	}, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "attempts exhausted") {
 		t.Fatalf("err = %v, want attempts-exhausted failure", err)
 	}
@@ -332,15 +329,14 @@ func TestBusyWorkerDoesNotExhaustAttempts(t *testing.T) {
 		Metrics:           reg,
 	})
 
-	spec := fleet.SweepSpec{
-		Kind:       fleet.SweepLeak,
+	spec := leakage.ReportOptions{
 		Configs:    []string{"skylake-unfixed"},
-		Strategies: []string{"evictreload"},
+		Strategies: strategies(t, "evictreload"),
 		Trials:     10, // one shard
 		Rounds:     4,
 		Seed:       9,
 	}
-	rep, _, err := c.RunLeak(context.Background(), spec, nil)
+	rep, _, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,15 +377,14 @@ func TestWorkStealingRebalance(t *testing.T) {
 		Metrics:           reg,
 	})
 
-	spec := fleet.SweepSpec{
-		Kind:       fleet.SweepLeak,
+	spec := leakage.ReportOptions{
 		Configs:    []string{"skylake-unfixed"},
-		Strategies: []string{"evictreload"},
+		Strategies: strategies(t, "evictreload"),
 		Trials:     20, // 2 shards: one per worker, then the steal
 		Rounds:     8,
 		Seed:       5,
 	}
-	rep, _, err := c.RunLeak(context.Background(), spec, nil)
+	rep, _, err := c.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,53 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-
-	"secdir/internal/leakage"
-)
-
-// SweepKind selects what a fleet sweep produces.
-type SweepKind string
-
-const (
-	// SweepLeak merges into a leakage.Report (the configs×strategies grid).
-	SweepLeak SweepKind = "leak"
-	// SweepLeaderboard merges into a leakage.Leaderboard (verdicts joined
-	// with the coordinator-computed performance and cost columns).
-	SweepLeaderboard SweepKind = "leaderboard"
-)
-
-// SweepSpec describes one distributed sweep — the fleet-facing mirror of the
-// server's leak/leaderboard JobSpec. Zero fields default exactly as their
-// single-process counterparts (leakage.RunReport / leakage.RunLeaderboard)
-// do, so a fleet run of an unmodified spec reproduces the local result
-// bit-for-bit.
-type SweepSpec struct {
-	// Kind selects the merge shape (default SweepLeak).
-	Kind SweepKind
-	// Configs are the configuration names to sweep (defaults: the report's
-	// canonical trio, or the leaderboard roster).
-	Configs []string
-	// Strategies are the attack names (defaults: the report's default
-	// suite, or the leaderboard pair).
-	Strategies []string
-	// Cores is the simulated machine size (default 8).
-	Cores int
-	// Trials, Rounds, EvictionLines and Seed are forwarded to every cell's
-	// Options (zero means that field's leakage default).
-	Trials        int
-	Rounds        int
-	EvictionLines int
-	Seed          int64
-	// Confidence and Resamples shape the AUC bootstrap of leak sweeps
-	// (leaderboard sweeps always use the leakage defaults, as
-	// RunLeaderboard does).
-	Confidence float64
-	Resamples  int
-	// PerfAccesses sizes the leaderboard's deterministic latency probe
-	// (default 100k).
-	PerfAccesses int
-}
+import "secdir/internal/leakage"
 
 // ShardRequest is the body of POST /fleet/shard: one contiguous trial range
 // of one (config, strategy) cell. Every sampling parameter arrives
@@ -116,8 +69,8 @@ type ShardLine struct {
 }
 
 // ShardProvenance records which worker's result was accepted for one shard of
-// a sweep — the merge provenance RunLeak/RunLeaderboard hand back alongside
-// the merged result, so callers (the server's run ledger) can record exactly
+// a sweep — the merge provenance Coordinator.Run hands back alongside the
+// merged report, so callers (the server's run ledger) can record exactly
 // how a distributed result was assembled and by whom.
 type ShardProvenance struct {
 	// Cell is the shard's (config, strategy) stage label, "config/strategy".
@@ -138,91 +91,12 @@ type ShardProvenance struct {
 	Millis int64 `json:"millis"`
 }
 
-// cell is one (config, strategy) grid cell of a sweep: its normalized
-// options, its shard plan, and the trial results accumulated by the
-// scheduler.
+// cell is one (config, strategy) cell of a sweep's plan as the scheduler
+// tracks it: its normalized options and the trial results accumulated so
+// far.
 type cell struct {
-	name     string
-	strategy string
-	opts     leakage.Options // normalized; Strategy and Config resolved
-	results  []leakage.TrialResult
-	done     int // trials completed, for progress reporting
-	offset   int // progress offset of the cell within the sweep
+	opts    leakage.Options
+	results []leakage.TrialResult
+	done    int // trials completed, for progress reporting
+	offset  int // progress offset of the cell within the sweep
 }
-
-// planCells expands a sweep spec into its cells in row-major
-// (config, strategy) order — the exact order RunReport and RunLeaderboard
-// emit verdicts in — with every cell's Options normalized from one shared
-// base so the merge parameters match a single-process run.
-func planCells(spec SweepSpec) ([]*cell, leakage.Options, error) {
-	configs := spec.Configs
-	strategies := spec.Strategies
-	if spec.Kind == SweepLeaderboard {
-		if len(configs) == 0 {
-			configs = append([]string(nil), leakage.LeaderboardNames...)
-		}
-		if len(strategies) == 0 {
-			strategies = append([]string(nil), leakage.LeaderboardStrategies...)
-		}
-	} else {
-		if len(configs) == 0 {
-			configs = append([]string(nil), leakage.ConfigNames...)
-		}
-		if len(strategies) == 0 {
-			strategies = leakage.StrategyNames(leakage.DefaultSuite())
-		}
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 8
-	}
-
-	base := leakage.Options{
-		Trials:        spec.Trials,
-		Rounds:        spec.Rounds,
-		EvictionLines: spec.EvictionLines,
-		Seed:          spec.Seed,
-	}
-	if spec.Kind != SweepLeaderboard {
-		// RunLeaderboard's verdicts always use the default bootstrap
-		// parameters; leak reports honor the caller's.
-		base.Confidence = spec.Confidence
-		base.Resamples = spec.Resamples
-	}
-	base = base.Normalized()
-
-	var cells []*cell
-	offset := 0
-	for _, name := range configs {
-		cfg, err := leakage.ParseConfig(name, cores)
-		if err != nil {
-			return nil, base, err
-		}
-		for _, sname := range strategies {
-			strat, err := leakage.ParseStrategy(sname)
-			if err != nil {
-				return nil, base, err
-			}
-			opts := base
-			opts.Config = cfg
-			opts.ConfigName = name
-			opts.Strategy = strat
-			cells = append(cells, &cell{
-				name:     name,
-				strategy: sname,
-				opts:     opts,
-				results:  make([]leakage.TrialResult, 0, opts.Trials),
-				offset:   offset,
-			})
-			offset += opts.Trials
-		}
-	}
-	if len(cells) == 0 {
-		return nil, base, fmt.Errorf("fleet: sweep has no (config, strategy) cells")
-	}
-	return cells, base, nil
-}
-
-// stageLabel is the progress stage name of a cell, matching the local job
-// runner's "config/strategy" convention.
-func (c *cell) stageLabel() string { return c.name + "/" + c.strategy }

@@ -1,7 +1,6 @@
 package leakage
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +9,6 @@ import (
 	"secdir/internal/area"
 	"secdir/internal/coherence"
 	"secdir/internal/config"
-	"secdir/internal/metrics"
 	"secdir/internal/trace"
 )
 
@@ -48,95 +46,26 @@ type Leaderboard struct {
 	Rows   []LeaderboardRow `json:"rows"`
 }
 
-// LeaderboardOptions configures a cross-defense race.
-type LeaderboardOptions struct {
-	// Configs are the defense names to race (default LeaderboardNames).
-	Configs []string
-	// Strategies are the attacks each defense faces (default
-	// primeprobe + evictreload, the two headline channels).
-	Strategies []Strategy
-	// Cores is the simulated core count (default 8).
-	Cores int
-	// Trials, Rounds, EvictionLines, Workers, Seed are forwarded to every
-	// cell's Options (zero means that field's default).
-	Trials        int
-	Rounds        int
-	EvictionLines int
-	Workers       int
-	Seed          int64
-	// PerfAccesses is the measured-loop length of the simulated-latency
-	// probe (default 100k, after an equal warm-up).
-	PerfAccesses int
-	// Metrics receives the leakage counters/histograms; nil is a no-op.
-	Metrics *metrics.Registry
-	// Progress, when non-nil, receives per-cell trial progress with a stage
-	// label like "skewed/primeprobe". May run on worker goroutines.
-	Progress func(stage string, done, total int)
-}
-
-// RunLeaderboard races every configured defense through the leakage lab and
-// the deterministic performance probe. Rows come out in (defense, strategy)
-// order; results are reproducible for fixed options, including across worker
-// counts.
-func RunLeaderboard(ctx context.Context, o LeaderboardOptions) (*Leaderboard, error) {
-	if len(o.Configs) == 0 {
-		o.Configs = append([]string(nil), LeaderboardNames...)
-	}
-	if len(o.Strategies) == 0 {
-		ss, err := ParseStrategyList(strings.Join(LeaderboardStrategies, ","))
-		if err != nil {
-			return nil, err
-		}
-		o.Strategies = ss
-	}
-	if o.Cores <= 0 {
-		o.Cores = 8
-	}
-	if o.PerfAccesses <= 0 {
-		o.PerfAccesses = 100_000
-	}
-	base := Options{
-		Trials:        o.Trials,
-		Rounds:        o.Rounds,
-		EvictionLines: o.EvictionLines,
-		Workers:       o.Workers,
-		Seed:          o.Seed,
-		Metrics:       o.Metrics,
-	}.withDefaults()
-
-	lb := &Leaderboard{Trials: base.Trials, Rounds: base.Rounds, Seed: base.Seed}
-	for _, name := range o.Configs {
-		cfg, err := ParseConfig(name, o.Cores)
-		if err != nil {
-			return nil, err
-		}
-		ns, kb, mm2, err := PerfCost(name, o.Cores, o.PerfAccesses)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range o.Strategies {
-			if err := ctx.Err(); err != nil {
+// NewLeaderboard joins a finished sweep with each defense's deterministic
+// performance and cost columns (PerfCost, computed once per defense): one
+// row per verdict, in the report's (defense, strategy) order. cores is the
+// machine size the sweep simulated; perfAccesses sizes the latency probe
+// (0 = 100k). The verdicts are the report's own, so a leaderboard honours
+// every sampling and bootstrap setting of the sweep that produced it.
+func NewLeaderboard(rep *Report, cores, perfAccesses int) (*Leaderboard, error) {
+	lb := &Leaderboard{Trials: rep.Trials, Rounds: rep.Rounds, Seed: rep.Seed,
+		Rows: make([]LeaderboardRow, 0, len(rep.Verdicts))}
+	var row LeaderboardRow // the current defense's cost columns
+	for _, v := range rep.Verdicts {
+		if len(lb.Rows) == 0 || v.Config != row.Config {
+			ns, kb, mm2, err := PerfCost(v.Config, cores, perfAccesses)
+			if err != nil {
 				return nil, err
 			}
-			cell := base
-			cell.Config = cfg
-			cell.ConfigName = name
-			cell.Strategy = s
-			if o.Progress != nil {
-				stage := name + "/" + s.Name()
-				cell.Progress = func(done, total int) { o.Progress(stage, done, total) }
-			}
-			v, err := Run(ctx, cell)
-			if err != nil {
-				return nil, fmt.Errorf("leakage: %s/%s: %w", name, s.Name(), err)
-			}
-			lb.Rows = append(lb.Rows, LeaderboardRow{
-				Verdict:     v,
-				SimNsAccess: ns,
-				StorageKB:   kb,
-				AreaMM2:     mm2,
-			})
+			row = LeaderboardRow{SimNsAccess: ns, StorageKB: kb, AreaMM2: mm2}
 		}
+		row.Verdict = v
+		lb.Rows = append(lb.Rows, row)
 	}
 	return lb, nil
 }
@@ -144,12 +73,12 @@ func RunLeaderboard(ctx context.Context, o LeaderboardOptions) (*Leaderboard, er
 // PerfCost computes one defense's deterministic leaderboard columns: the
 // simulated-latency probe (mean ns/access at 2 GHz over the fixed uniform
 // workload) and the Table 7 cost model (per-slice storage KB and silicon
-// mm²). The fleet coordinator computes these locally — they are
-// bit-reproducible functions of the configuration, so there is nothing to
-// distribute — and joins them with the verdicts merged from remote shards.
+// mm²). They are bit-reproducible functions of the configuration, so a
+// leaderboard computes them where it joins the verdicts, however the sweep
+// ran.
 func PerfCost(name string, cores, perfAccesses int) (simNs, storageKB, areaMM2 float64, err error) {
 	if cores <= 0 {
-		cores = 8
+		cores = defaultCores
 	}
 	if perfAccesses <= 0 {
 		perfAccesses = 100_000

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"secdir/internal/golden"
@@ -29,15 +30,13 @@ const (
 //	go test ./internal/leakage -run Leaderboard          # verify
 //	go test ./internal/leakage -run Leaderboard -update  # regenerate
 func TestLeaderboardGolden(t *testing.T) {
-	lb, err := RunLeaderboard(context.Background(), LeaderboardOptions{
+	lb := raceLeaderboard(t, ReportOptions{
+		Configs:       LeaderboardNames,
 		Trials:        lbTrials,
 		Rounds:        lbRounds,
 		EvictionLines: lbEvLines,
 		Seed:          lbSeed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 0)
 	if want := 2 * len(LeaderboardNames); len(lb.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(lb.Rows), want)
 	}
@@ -71,22 +70,37 @@ func TestLeaderboardGolden(t *testing.T) {
 // the machine that generated it.
 func TestLeaderboardWorkerInvariance(t *testing.T) {
 	run := func(workers int) []LeaderboardRow {
-		lb, err := RunLeaderboard(context.Background(), LeaderboardOptions{
+		return raceLeaderboard(t, ReportOptions{
 			Configs:       []string{"skewed"},
 			Trials:        20,
 			Rounds:        16,
 			EvictionLines: lbEvLines,
 			Seed:          lbSeed,
 			Workers:       workers,
-			PerfAccesses:  20_000,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return lb.Rows
+		}, 20_000).Rows
 	}
 	serial, parallel := run(1), run(4)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("leaderboard rows depend on the worker count:\n 1 worker: %+v\n 4 workers: %+v", serial, parallel)
 	}
+}
+
+// raceLeaderboard runs o over the leaderboard's strategy pair and joins the
+// cost columns, as a leaderboard job does.
+func raceLeaderboard(t *testing.T, o ReportOptions, perfAccesses int) *Leaderboard {
+	t.Helper()
+	strategies, err := ParseStrategyList(strings.Join(LeaderboardStrategies, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Strategies = strategies
+	rep, err := RunReport(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := NewLeaderboard(rep, o.Cores, perfAccesses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lb
 }

@@ -34,6 +34,15 @@ const tCap = 1e6
 // each, so an unbounded count lets one request exhaust a worker's memory.
 const MaxResamples = 100_000
 
+// The per-cell Options defaults: every sweep, job and CLI that leaves a
+// field unset samples with these.
+const (
+	DefaultTrials     = 200
+	DefaultRounds     = 16
+	DefaultConfidence = 0.99
+	DefaultResamples  = 400
+)
+
 // capacityBins is the histogram width of the plug-in mutual-information
 // estimate. 16 cells keep the estimator's O((bins-1)/N) bias below ~0.1 bit
 // at the default trial counts while still resolving multi-modal observables.
@@ -49,10 +58,11 @@ type Options struct {
 	ConfigName string
 	// Strategy is the attack to quantify.
 	Strategy Strategy
-	// Trials is the number of independently seeded machines (default 200).
+	// Trials is the number of independently seeded machines (default
+	// DefaultTrials).
 	Trials int
 	// Rounds is the attack rounds per trial, split evenly between
-	// victim-active and victim-idle (default 16; forced even).
+	// victim-active and victim-idle (default DefaultRounds; forced even).
 	Rounds int
 	// EvictionLines overrides the strategy's default conflict-set size.
 	EvictionLines int
@@ -77,10 +87,10 @@ type Options struct {
 // withDefaults fills unset Options fields.
 func (o Options) withDefaults() Options {
 	if o.Trials <= 0 {
-		o.Trials = 200
+		o.Trials = DefaultTrials
 	}
 	if o.Rounds <= 0 {
-		o.Rounds = 16
+		o.Rounds = DefaultRounds
 	}
 	if o.Rounds%2 != 0 {
 		o.Rounds++
@@ -92,13 +102,17 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.99
+		o.Confidence = DefaultConfidence
 	}
 	if o.Resamples <= 0 {
-		o.Resamples = 400
+		o.Resamples = DefaultResamples
 	}
 	return o
 }
+
+// Stage labels the cell in progress events, errors and fleet provenance:
+// "config/strategy".
+func (o Options) Stage() string { return o.ConfigName + "/" + o.Strategy.Name() }
 
 // Verdict is the statistical outcome of one (configuration, strategy)
 // measurement. The distributions under test are the per-trial mean

@@ -194,6 +194,84 @@ func TestRunReport(t *testing.T) {
 	}
 }
 
+// TestPlan: a sweep that names nothing plans ConfigNames × DefaultSuite on 8
+// cores in row-major order, every cell carrying the normalized per-cell
+// defaults; named configs and strategies keep their order.
+func TestPlan(t *testing.T) {
+	cells, err := ReportOptions{}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := DefaultSuite()
+	if len(cells) != len(ConfigNames)*len(suite) {
+		t.Fatalf("default plan has %d cells, want %d", len(cells), len(ConfigNames)*len(suite))
+	}
+	for i, c := range cells {
+		want := ConfigNames[i/len(suite)] + "/" + suite[i%len(suite)].Name()
+		if c.Stage() != want || c.Config.Cores != 8 || c.Trials != DefaultTrials || c.Rounds != DefaultRounds ||
+			c.Confidence != DefaultConfidence || c.Resamples != DefaultResamples || c.Seed != 1 {
+			t.Errorf("cell %d = %s on %d cores, %d trials x %d rounds, %v/%d bootstrap, seed %d; want %s with the defaults",
+				i, c.Stage(), c.Config.Cores, c.Trials, c.Rounds, c.Confidence, c.Resamples, c.Seed, want)
+		}
+	}
+	ss, err := ParseStrategyList("evictreload,primeprobe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err = ReportOptions{Configs: []string{"secdir", "dls"}, Strategies: ss, Cores: 4, Rounds: 5}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range cells {
+		got = append(got, c.Stage())
+		if c.Config.Cores != 4 || c.Rounds != 6 {
+			t.Errorf("%s: %d cores, %d rounds; want 4 cores and rounds forced even to 6", c.Stage(), c.Config.Cores, c.Rounds)
+		}
+	}
+	if want := "secdir/evictreload,secdir/primeprobe,dls/evictreload,dls/primeprobe"; strings.Join(got, ",") != want {
+		t.Errorf("plan order %v, want %s", got, want)
+	}
+	if _, err := (ReportOptions{Configs: []string{"nosuch"}}).Plan(); err == nil {
+		t.Error("Plan accepted an unknown config")
+	}
+}
+
+// TestRunReportGridProgress: RunReport counts progress over the whole grid —
+// each cell's trials offset by its index, against cells × trials — so done
+// never falls back between cells.
+func TestRunReportGridProgress(t *testing.T) {
+	ss, err := ParseStrategyList("evictreload")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type event struct {
+		stage       string
+		done, total int
+	}
+	var events []event
+	_, err = RunReport(context.Background(), ReportOptions{
+		Configs:    []string{"skylake-unfixed", "secdir"},
+		Strategies: ss,
+		Trials:     10,
+		Rounds:     4,
+		Workers:    1,
+		Progress:   func(stage string, done, total int) { events = append(events, event{stage, done, total}) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 || events[len(events)-1] != (event{"secdir/evictreload", 20, 20}) {
+		t.Fatalf("progress %v, want it to end at secdir/evictreload 20/20", events)
+	}
+	for i, e := range events {
+		first := e.stage == "skylake-unfixed/evictreload"
+		if e.total != 20 || (first && e.done > 10) || (!first && e.done <= 10) || (i > 0 && e.done <= events[i-1].done) {
+			t.Fatalf("progress event %d %+v out of the grid-wide sequence: %v", i, e, events)
+		}
+	}
+}
+
 // TestParsing covers the name-resolution helpers the CLI and server rely on.
 func TestParsing(t *testing.T) {
 	if _, err := ParseStrategy("nosuch"); err == nil {
@@ -217,6 +295,9 @@ func TestParsing(t *testing.T) {
 	}
 	if _, err := ParseConfigList("secdir,nosuch", 8); err == nil {
 		t.Error("ParseConfigList accepted an unknown name")
+	}
+	if names, err := ParseConfigList(" , ", 8); err == nil {
+		t.Errorf("ParseConfigList accepted a list of no names: %v", names)
 	}
 	suite, err := ParseStrategyList("suite")
 	if err != nil || len(suite) != 4 {

@@ -9,7 +9,10 @@ import (
 	"secdir/internal/metrics"
 )
 
-// ReportOptions configures a full configuration×strategy comparison sweep.
+// ReportOptions configures a sweep: the configuration×strategy grid that a
+// leak report measures and a leaderboard joins with cost columns. Plan
+// resolves it into cells; RunReport runs them in-process and a fleet
+// coordinator shards them across workers.
 type ReportOptions struct {
 	// Configs are the configuration names to compare (default ConfigNames).
 	Configs []string
@@ -28,9 +31,54 @@ type ReportOptions struct {
 	Resamples     int
 	// Metrics receives the leakage counters/histograms; nil is a no-op.
 	Metrics *metrics.Registry
-	// Progress, when non-nil, receives per-cell trial progress with a stage
-	// label like "secdir/primeprobe". May run on worker goroutines.
+	// Progress, when non-nil, receives trial progress counted over the whole
+	// grid: stage is the running cell ("secdir/primeprobe"), done climbs from
+	// cell index × Trials, and total is cells × Trials. May run on worker
+	// goroutines.
 	Progress func(stage string, done, total int)
+}
+
+// defaultCores is the simulated machine size of a sweep that names none.
+const defaultCores = 8
+
+// Plan resolves the sweep's defaults and returns the normalized Options of
+// its cells in row-major (config, strategy) order: the order RunReport runs
+// them in, a fleet coordinator shards them in, and Report.Verdicts lists
+// them in. The cells carry Metrics but no Progress.
+func (o ReportOptions) Plan() ([]Options, error) {
+	configs, strategies, cores := o.Configs, o.Strategies, o.Cores
+	if len(configs) == 0 {
+		configs = ConfigNames
+	}
+	if len(strategies) == 0 {
+		strategies = DefaultSuite()
+	}
+	if cores <= 0 {
+		cores = defaultCores
+	}
+	base := Options{
+		Trials:        o.Trials,
+		Rounds:        o.Rounds,
+		EvictionLines: o.EvictionLines,
+		Workers:       o.Workers,
+		Seed:          o.Seed,
+		Confidence:    o.Confidence,
+		Resamples:     o.Resamples,
+		Metrics:       o.Metrics,
+	}.withDefaults()
+	cells := make([]Options, 0, len(configs)*len(strategies))
+	for _, name := range configs {
+		cfg, err := ParseConfig(name, cores)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range strategies {
+			cell := base
+			cell.Config, cell.ConfigName, cell.Strategy = cfg, name, s
+			cells = append(cells, cell)
+		}
+	}
+	return cells, nil
 }
 
 // Report is the outcome of a sweep: one Verdict per (config, strategy) cell,
@@ -48,61 +96,44 @@ type Report struct {
 	Verdicts []Verdict `json:"verdicts"`
 }
 
-// RunReport sweeps every (config, strategy) cell sequentially (each cell
+// NewReport assembles the Report of a planned sweep from its cells'
+// verdicts, given in plan order.
+func NewReport(cells []Options, verdicts []Verdict) *Report {
+	c := cells[0] // every cell shares the sampling parameters
+	return &Report{
+		Trials:     c.Trials,
+		Rounds:     c.Rounds,
+		Seed:       c.Seed,
+		Confidence: c.Confidence,
+		Verdicts:   verdicts,
+	}
+}
+
+// RunReport runs the sweep's planned cells one after another (each cell
 // already fans out across Workers) and assembles the Report. The context
 // cancels between and within cells.
 func RunReport(ctx context.Context, o ReportOptions) (*Report, error) {
-	if len(o.Configs) == 0 {
-		o.Configs = append([]string(nil), ConfigNames...)
+	cells, err := o.Plan()
+	if err != nil {
+		return nil, err
 	}
-	if len(o.Strategies) == 0 {
-		o.Strategies = DefaultSuite()
-	}
-	if o.Cores <= 0 {
-		o.Cores = 8
-	}
-	base := Options{
-		Trials:        o.Trials,
-		Rounds:        o.Rounds,
-		EvictionLines: o.EvictionLines,
-		Workers:       o.Workers,
-		Seed:          o.Seed,
-		Confidence:    o.Confidence,
-		Resamples:     o.Resamples,
-		Metrics:       o.Metrics,
-	}.withDefaults()
-
-	rep := &Report{
-		Trials:     base.Trials,
-		Rounds:     base.Rounds,
-		Seed:       base.Seed,
-		Confidence: base.Confidence,
-	}
-	for _, cfgName := range o.Configs {
-		cfg, err := ParseConfig(cfgName, o.Cores)
-		if err != nil {
+	total := len(cells) * cells[0].Trials
+	verdicts := make([]Verdict, 0, len(cells))
+	for i, cell := range cells {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, s := range o.Strategies {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cell := base
-			cell.Config = cfg
-			cell.ConfigName = cfgName
-			cell.Strategy = s
-			if o.Progress != nil {
-				stage := cfgName + "/" + s.Name()
-				cell.Progress = func(done, total int) { o.Progress(stage, done, total) }
-			}
-			v, err := Run(ctx, cell)
-			if err != nil {
-				return nil, fmt.Errorf("leakage: %s/%s: %w", cfgName, s.Name(), err)
-			}
-			rep.Verdicts = append(rep.Verdicts, v)
+		if o.Progress != nil {
+			stage, offset := cell.Stage(), i*cell.Trials
+			cell.Progress = func(done, _ int) { o.Progress(stage, offset+done, total) }
 		}
+		v, err := Run(ctx, cell)
+		if err != nil {
+			return nil, fmt.Errorf("leakage: %s: %w", cell.Stage(), err)
+		}
+		verdicts = append(verdicts, v)
 	}
-	return rep, nil
+	return NewReport(cells, verdicts), nil
 }
 
 // Text renders the report as an aligned table with one row per cell and a

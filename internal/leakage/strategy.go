@@ -144,6 +144,9 @@ func ParseConfigList(spec string, cores int) ([]string, error) {
 			return nil, err
 		}
 	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("leakage: empty config list %q", spec)
+	}
 	return names, nil
 }
 

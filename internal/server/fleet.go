@@ -33,40 +33,20 @@ func (s *Server) coordinator() *fleet.Coordinator {
 	return s.fleetC
 }
 
-// runFleetJob executes a Fleet job by fanning its sweep out across the
-// coordinator's workers. The merged result is the same Go value the local
-// runner would have produced, so the job API's JSON is identical either way.
-// With a store attached, the sweep's per-shard merge provenance (which worker
-// computed which trial range) lands in the ledger as a KindFleetMerge record.
+// runFleetJob executes a Fleet job: the same sweep Run would execute
+// in-process, run on the coordinator's workers instead. The merged result is
+// the same Go value the local runner would have produced, so the job API's
+// JSON is identical either way. With a store attached, the sweep's
+// per-shard merge provenance (which worker computed which trial range)
+// lands in the ledger as a KindFleetMerge record.
 func (s *Server) runFleetJob(ctx context.Context, c *fleet.Coordinator, j *Job) (any, error) {
-	spec := fleet.SweepSpec{
-		Configs:       j.Spec.Configs,
-		Strategies:    j.Spec.Strategies,
-		Cores:         j.Spec.Cores,
-		Trials:        j.Spec.Trials,
-		Rounds:        j.Spec.Rounds,
-		EvictionLines: j.Spec.EvictionLines,
-		Seed:          j.Spec.Seed,
-		Confidence:    j.Spec.Confidence,
-		Resamples:     j.Spec.Resamples,
-		PerfAccesses:  j.Spec.PerfAccesses,
-	}
-	switch j.Spec.Kind {
-	case KindLeaderboard:
-		lb, prov, err := c.RunLeaderboard(ctx, spec, j.progress)
-		if err != nil {
-			return nil, err
+	return runSweep(ctx, j.Spec, nil, j.progress, func(ctx context.Context, o leakage.ReportOptions) (*leakage.Report, error) {
+		rep, prov, err := c.Run(ctx, o)
+		if err == nil {
+			s.recordFleetMerge(j, prov)
 		}
-		s.recordFleetMerge(j, prov)
-		return lb, nil
-	default:
-		rep, prov, err := c.RunLeak(ctx, spec, j.progress)
-		if err != nil {
-			return nil, err
-		}
-		s.recordFleetMerge(j, prov)
-		return rep, nil
-	}
+		return rep, err
+	})
 }
 
 // handleShard executes one shard request and streams its trials as NDJSON:

@@ -180,3 +180,53 @@ func serve(srv *Server, path string) (int, []byte) {
 	srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
 	return w.Code, w.Body.Bytes()
 }
+
+// FuzzJobSpec feeds arbitrary bytes through the submit decoder and
+// Normalize. Neither may panic; a spec they accept must come back unchanged
+// when resubmitted; and an accepted leak or leaderboard spec must plan
+// exactly one cell per (config, strategy) pair it names.
+func FuzzJobSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"kind":"experiment","experiments":["f5","T7"]}`,
+		`{"kind":"attack","design":"both","rounds":6,"seed":3}`,
+		`{"kind":"replay","design":"ceaser","workload":"mix2","cores":4}`,
+		`{"kind":"leak","configs":["skylake-unfixed","secdir"],"strategies":["primeprobe"],"trials":40}`,
+		`{"kind":"leaderboard","confidence":0.95,"resamples":200,"perf_accesses":1000}`,
+		`{"kind":"leak","configs":["all"],"strategies":["all"],"fleet":true}`,
+		`{"kind":"leaderboard","configs":["secdir, secdir"],"strategies":["suite"]}`,
+		`{"kind":"leak","configs":[","]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeJobSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeJobSpec(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("normalized spec %s refused on resubmission: %v", first, err)
+		}
+		if second, _ := json.Marshal(again); !bytes.Equal(second, first) {
+			t.Fatalf("Normalize is not idempotent:\nonce  %s\ntwice %s", first, second)
+		}
+		if spec.Kind != KindLeak && spec.Kind != KindLeaderboard {
+			return
+		}
+		o, err := spec.reportOptions()
+		if err != nil {
+			t.Fatalf("accepted spec %s has no sweep: %v", first, err)
+		}
+		cells, err := o.Plan()
+		if err != nil {
+			t.Fatalf("accepted spec %s does not plan: %v", first, err)
+		}
+		if want := len(spec.Configs) * len(spec.Strategies); len(cells) != want {
+			t.Fatalf("spec %s plans %d cells, want %d configs x strategies", first, len(cells), want)
+		}
+	})
+}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"secdir/internal/attack"
 	"secdir/internal/coherence"
@@ -65,84 +64,72 @@ type AttackReport struct {
 // stages with done counts offset..offset+3 of total.
 func RunAttackSuite(ctx context.Context, design string, cfg config.Config, reg *metrics.Registry, rounds, evictionLines int, progress ProgressFunc, offset, total int) (AttackReport, error) {
 	report := AttackReport{Design: design, Rounds: rounds}
-	step := func(stage string, n int) {
-		if progress != nil {
-			progress(stage, offset+n, total)
-		}
-	}
-
 	target := trace.T0Lines()[0] // a line of the AES T0 table
 	attackers := make([]int, 0, cfg.Cores-1)
 	for c := 1; c < cfg.Cores; c++ {
 		attackers = append(attackers, c)
 	}
+	// victims reads the ground truth off an evict+reload or prime+probe
+	// engine: the victim's private lines lost to directory conflicts.
+	victims := func(e *coherence.Engine) uint64 { return e.Stats().Core[0].ConflictInvalidations }
 
-	if err := ctx.Err(); err != nil {
-		return report, err
+	// Each stage attacks a fresh machine.
+	stages := []struct {
+		name string
+		run  func(e *coherence.Engine) error
+	}{
+		{"evict+reload", func(e *coherence.Engine) error {
+			er, err := attack.EvictReload(e, 0, attackers, target, rounds, evictionLines)
+			if err == nil {
+				report.EvictReloadAccuracy = er.Accuracy()
+				report.VictimEvictions = er.VictimEvictions
+				report.InclusionVictims += victims(e)
+			}
+			return err
+		}},
+		{"prime+probe", func(e *coherence.Engine) error {
+			pp, err := attack.PrimeProbe(e, 0, attackers, target, rounds, evictionLines)
+			if err == nil {
+				report.PrimeProbeSignal = pp.Signal()
+				report.InclusionVictims += victims(e)
+			}
+			return err
+		}},
+		{"evict+time", func(e *coherence.Engine) error {
+			et, err := attack.EvictTime(e, 0, attackers, target, rounds, evictionLines)
+			if err == nil {
+				report.EvictTimeSignal = et.Signal()
+			}
+			return err
+		}},
+		{"key-recovery", func(e *coherence.Engine) error {
+			key := [16]byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+				0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
+			kr, err := attack.RecoverAESKey(e, 0, attackers, key, 48)
+			if err == nil {
+				report.KeyNibblesRecovered = kr.CorrectNibbles()
+				report.KeyNibblesTotal = len(kr.TrueNibbles)
+				report.Encryptions = kr.Encryptions
+			}
+			return err
+		}},
 	}
-	e, err := coherence.NewEngine(cfg)
-	if err != nil {
-		return report, err
+	for i, st := range stages {
+		if err := ctx.Err(); err != nil {
+			return report, err
+		}
+		e, err := coherence.NewEngine(cfg)
+		if err != nil {
+			return report, err
+		}
+		e.AttachMetrics(reg)
+		if err := st.run(e); err != nil {
+			return report, err
+		}
+		if progress != nil {
+			progress(design+"/"+st.name, offset+i+1, total)
+		}
 	}
-	e.AttachMetrics(reg)
-	er, err := attack.EvictReload(e, 0, attackers, target, rounds, evictionLines)
-	if err != nil {
-		return report, err
-	}
-	report.EvictReloadAccuracy = er.Accuracy()
-	report.VictimEvictions = er.VictimEvictions
-	step(report.Design+"/evict+reload", 1)
-
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e2, err := coherence.NewEngine(cfg)
-	if err != nil {
-		return report, err
-	}
-	e2.AttachMetrics(reg)
-	pp, err := attack.PrimeProbe(e2, 0, attackers, target, rounds, evictionLines)
-	if err != nil {
-		return report, err
-	}
-	report.PrimeProbeSignal = pp.Signal()
-	step(report.Design+"/prime+probe", 2)
-
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e3, err := coherence.NewEngine(cfg)
-	if err != nil {
-		return report, err
-	}
-	e3.AttachMetrics(reg)
-	et, err := attack.EvictTime(e3, 0, attackers, target, rounds, evictionLines)
-	if err != nil {
-		return report, err
-	}
-	report.EvictTimeSignal = et.Signal()
-	step(report.Design+"/evict+time", 3)
-
-	if err := ctx.Err(); err != nil {
-		return report, err
-	}
-	e4, err := coherence.NewEngine(cfg)
-	if err != nil {
-		return report, err
-	}
-	e4.AttachMetrics(reg)
-	key := [16]byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-		0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c}
-	kr, err := attack.RecoverAESKey(e4, 0, attackers, key, 48)
-	if err != nil {
-		return report, err
-	}
-	report.KeyNibblesRecovered = kr.CorrectNibbles()
-	report.KeyNibblesTotal = len(kr.TrueNibbles)
-	report.Encryptions = kr.Encryptions
-	report.InclusionVictims = e.Stats().Core[0].ConflictInvalidations +
-		e2.Stats().Core[0].ConflictInvalidations
-	step(report.Design+"/key-recovery", 4)
 	return report, nil
 }
 
@@ -182,8 +169,8 @@ type ExperimentResult struct {
 
 // Run executes a normalized spec under ctx, registering engine instruments in
 // reg (which may be nil) and reporting coarse progress (progress may be nil).
-// The result is JSON-serialisable: []ExperimentResult, []AttackReport, or
-// ReplayResult.
+// The result is JSON-serialisable: []ExperimentResult, []AttackReport,
+// ReplayResult, *leakage.Report or *leakage.Leaderboard.
 func Run(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
 	switch spec.Kind {
 	case KindExperiment:
@@ -192,82 +179,33 @@ func Run(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress Prog
 		return runAttack(ctx, spec, reg, progress)
 	case KindReplay:
 		return runReplay(ctx, spec, reg, progress)
-	case KindLeak:
-		return runLeak(ctx, spec, reg, progress)
-	case KindLeaderboard:
-		return runLeaderboard(ctx, spec, reg, progress)
+	case KindLeak, KindLeaderboard:
+		return runSweep(ctx, spec, reg, progress, leakage.RunReport)
 	default:
 		return nil, fmt.Errorf("unknown job kind %q", spec.Kind)
 	}
 }
 
-// runLeak executes the Monte-Carlo leakage lab over the spec's
-// configs×strategies grid. Progress events count completed trials across the
-// whole grid, staged per cell ("secdir/primeprobe"), so the NDJSON stream
-// shows trial-level advancement.
-func runLeak(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
-	strategies, err := leakage.ParseStrategyList(strings.Join(spec.Strategies, ","))
+// runSweep runs a leak or leaderboard job: the spec's configs×strategies
+// grid, executed by sweep (leakage.RunReport in-process, or a fleet
+// coordinator's Run), with trial-level progress staged per cell
+// ("secdir/primeprobe") and counted over the whole grid. A leaderboard job
+// then joins each defense's performance and cost columns to the report.
+func runSweep(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc,
+	sweep func(context.Context, leakage.ReportOptions) (*leakage.Report, error)) (any, error) {
+	o, err := spec.reportOptions()
 	if err != nil {
 		return nil, err
 	}
-	o := leakage.ReportOptions{
-		Configs:       spec.Configs,
-		Strategies:    strategies,
-		Cores:         spec.Cores,
-		Trials:        spec.Trials,
-		Rounds:        spec.Rounds,
-		EvictionLines: spec.EvictionLines,
-		Workers:       spec.Workers,
-		Seed:          spec.Seed,
-		Confidence:    spec.Confidence,
-		Resamples:     spec.Resamples,
-		Metrics:       reg,
-	}
-	o.Progress = gridProgress(spec.Configs, leakage.StrategyNames(strategies), spec.Trials, progress)
-	return leakage.RunReport(ctx, o)
-}
-
-// runLeaderboard races the cross-defense roster in-process, with the same
-// staged trial-level progress convention as leak jobs.
-func runLeaderboard(ctx context.Context, spec JobSpec, reg *metrics.Registry, progress ProgressFunc) (any, error) {
-	strategies, err := leakage.ParseStrategyList(strings.Join(spec.Strategies, ","))
+	o.Metrics, o.Progress = reg, progress
+	rep, err := sweep(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	o := leakage.LeaderboardOptions{
-		Configs:       spec.Configs,
-		Strategies:    strategies,
-		Cores:         spec.Cores,
-		Trials:        spec.Trials,
-		Rounds:        spec.Rounds,
-		EvictionLines: spec.EvictionLines,
-		Workers:       spec.Workers,
-		Seed:          spec.Seed,
-		PerfAccesses:  spec.PerfAccesses,
-		Metrics:       reg,
+	if spec.Kind == KindLeaderboard {
+		return leakage.NewLeaderboard(rep, spec.Cores, spec.PerfAccesses)
 	}
-	o.Progress = gridProgress(spec.Configs, leakage.StrategyNames(strategies), spec.Trials, progress)
-	return leakage.RunLeaderboard(ctx, o)
-}
-
-// gridProgress adapts a job ProgressFunc to the leakage sweeps' per-cell
-// convention: grid cells run in configs×strategies order, so each cell's
-// trial counts are offset to make Done climb monotonically over the whole
-// job. Returns nil when progress is nil.
-func gridProgress(configs, strategies []string, trials int, progress ProgressFunc) func(stage string, done, total int) {
-	if progress == nil {
-		return nil
-	}
-	offsets := make(map[string]int, len(configs)*len(strategies))
-	for i, cfg := range configs {
-		for j, s := range strategies {
-			offsets[cfg+"/"+s] = (i*len(strategies) + j) * trials
-		}
-	}
-	total := len(offsets) * trials
-	return func(stage string, done, _ int) {
-		progress(stage, offsets[stage]+done, total)
-	}
+	return rep, nil
 }
 
 // runExperiments builds the table of each requested experiment.

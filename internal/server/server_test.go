@@ -687,7 +687,7 @@ func TestDesignCatalogueIngress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromLeaderboard, err := leakage.ParseConfig("ceaser", 8) // as RunLeaderboard resolves its row
+	fromLeaderboard, err := leakage.ParseConfig("ceaser", 8) // as a leaderboard sweep resolves its row
 	if err != nil {
 		t.Fatal(err)
 	}

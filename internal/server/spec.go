@@ -68,27 +68,35 @@ type JobSpec struct {
 	// "secdir").
 	Design string `json:"design,omitempty"`
 
-	// Rounds and EvictionLines (KindAttack) size the attack (defaults 40/32).
+	// Rounds and EvictionLines (KindAttack) size the attack (defaults 40/32);
+	// leak and leaderboard jobs take them per trial (defaults
+	// leakage.DefaultRounds and each strategy's own set size).
 	Rounds        int `json:"rounds,omitempty"`
 	EvictionLines int `json:"eviction_lines,omitempty"`
 
 	// Workload (KindReplay) is a ParseWorkload spec (default "mix0").
 	Workload string `json:"workload,omitempty"`
 
-	// Configs (KindLeak) lists the directory configurations to compare
-	// (skylake-unfixed, skylake-fixed, secdir); empty means all three.
+	// Configs (KindLeak, KindLeaderboard) lists the design names to sweep;
+	// empty means leakage.ConfigNames (skylake-unfixed, skylake-fixed,
+	// secdir) for a leak job and leakage.LeaderboardNames for a leaderboard;
+	// "all" means leakage.AllConfigNames.
 	Configs []string `json:"configs,omitempty"`
-	// Strategies (KindLeak) lists the attacks to quantify; empty means the
-	// default suite (every strategy but floodreload).
+	// Strategies (KindLeak, KindLeaderboard) lists the attacks to quantify;
+	// empty means the default suite (every strategy but floodreload) for a
+	// leak job and leakage.LeaderboardStrategies for a leaderboard.
 	Strategies []string `json:"strategies,omitempty"`
-	// Trials (KindLeak) is the independent seeded trials per cell (default
-	// 200 — server jobs favour latency; submit more for paper-grade CIs).
+	// Trials (KindLeak, KindLeaderboard) is the independent seeded trials
+	// per cell (default leakage.DefaultTrials — server jobs favour latency;
+	// submit more for paper-grade CIs).
 	Trials int `json:"trials,omitempty"`
-	// Workers (KindLeak) bounds the trial-runner fan-out (0 = GOMAXPROCS).
+	// Workers (KindLeak, KindLeaderboard) bounds the in-process trial-runner
+	// fan-out (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 
-	// Confidence and Resamples (KindLeak) shape the AUC bootstrap
-	// (defaults 0.99 / 400; resamples is capped at leakage.MaxResamples).
+	// Confidence and Resamples (KindLeak, KindLeaderboard) shape the AUC
+	// bootstrap (defaults 0.99 / 400; resamples is capped at
+	// leakage.MaxResamples).
 	Confidence float64 `json:"confidence,omitempty"`
 	Resamples  int     `json:"resamples,omitempty"`
 	// PerfAccesses (KindLeaderboard) sizes the deterministic latency probe
@@ -178,10 +186,10 @@ func (s *JobSpec) Normalize() error {
 		}
 		s.Strategies = leakage.StrategyNames(strategies)
 		if s.Trials == 0 {
-			s.Trials = 200
+			s.Trials = leakage.DefaultTrials
 		}
 		if s.Rounds == 0 {
-			s.Rounds = 16
+			s.Rounds = leakage.DefaultRounds
 		}
 		if s.Trials < 2 || s.Rounds < 2 {
 			return fmt.Errorf("leak jobs need trials and rounds >= 2, got %d/%d", s.Trials, s.Rounds)
@@ -205,6 +213,27 @@ func (s *JobSpec) Normalize() error {
 		return fmt.Errorf("fleet execution is only available for leak and leaderboard jobs, not %q", s.Kind)
 	}
 	return nil
+}
+
+// reportOptions is the sweep a normalized leak or leaderboard spec
+// describes; leakage.ReportOptions.Plan turns it into cells.
+func (s *JobSpec) reportOptions() (leakage.ReportOptions, error) {
+	strategies, err := leakage.ParseStrategyList(strings.Join(s.Strategies, ","))
+	if err != nil {
+		return leakage.ReportOptions{}, err
+	}
+	return leakage.ReportOptions{
+		Configs:       s.Configs,
+		Strategies:    strategies,
+		Cores:         s.Cores,
+		Trials:        s.Trials,
+		Rounds:        s.Rounds,
+		EvictionLines: s.EvictionLines,
+		Workers:       s.Workers,
+		Seed:          s.Seed,
+		Confidence:    s.Confidence,
+		Resamples:     s.Resamples,
+	}, nil
 }
 
 // ParseWorkload builds a workload from its spec string — the shared

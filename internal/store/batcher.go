@@ -20,9 +20,10 @@ type op struct {
 
 // batcher drains a bounded op channel on one writer goroutine, flushing to
 // the backend when FlushEvery ops are pending, when FlushInterval elapses
-// with work pending, or when a flush barrier (Flush/Close) arrives. FIFO
-// order is preserved end to end, so an artifact enqueued before the record
-// referencing it is never durable later than that record.
+// with work pending, or when a flush barrier (Flush/Close) arrives. Batches
+// are written in FIFO order, each one's artifacts before its lines, so an
+// artifact enqueued before the record referencing it is never durable later
+// than that record.
 type batcher struct {
 	b    Backend
 	opts Options
@@ -176,30 +177,22 @@ func (bat *batcher) advance(batch []op) {
 	}
 }
 
-// writeBatch writes one accumulated batch: artifacts and ledger lines in
-// FIFO order, consecutive lines coalesced into one durable AppendLedger
-// call.
+// writeBatch writes one accumulated batch: every artifact first, then all
+// ledger lines in one durable AppendLedger call. Writing a batch's
+// artifacts before any of its lines keeps each artifact durable no later
+// than the record referencing it, and an artifact put again for every job
+// does not split the lines into one fsync each.
 func (bat *batcher) writeBatch(batch []op) error {
 	var lines [][]byte
-	emit := func() error {
-		if len(lines) == 0 {
-			return nil
-		}
-		err := bat.b.AppendLedger(lines)
-		lines = lines[:0]
-		return err
-	}
 	for _, o := range batch {
-		if o.artifactData != nil {
-			if err := emit(); err != nil {
-				return err
-			}
-			if err := bat.b.PutArtifact(o.artifactDigest, o.artifactData); err != nil {
-				return err
-			}
-			continue
+		if o.artifactData == nil {
+			lines = append(lines, o.line)
+		} else if err := bat.b.PutArtifact(o.artifactDigest, o.artifactData); err != nil {
+			return err
 		}
-		lines = append(lines, o.line)
 	}
-	return emit()
+	if len(lines) == 0 {
+		return nil
+	}
+	return bat.b.AppendLedger(lines)
 }

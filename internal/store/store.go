@@ -69,9 +69,6 @@ type Stats struct {
 	// Records is the number of ledger records appended (including those
 	// replayed from the backend at Open).
 	Records int64 `json:"records"`
-	// Artifacts is the number of distinct artifacts referenced since Open
-	// (deduplicated; a re-Put of identical content does not count twice).
-	Artifacts int64 `json:"artifacts"`
 	// Flushes counts batcher flushes.
 	Flushes int64 `json:"flushes"`
 	// Pending is the number of operations accepted but not yet durable.
@@ -92,8 +89,6 @@ type Store struct {
 	headIndex int64  // index of the last appended record (-1 when empty)
 	headHash  string // hash of the last appended record ("" when empty)
 	records   int64
-	artifacts int64
-	known     map[string]bool // artifact digests already put this session
 	closed    bool
 
 	bat *batcher
@@ -120,7 +115,6 @@ func Open(b Backend, opts Options) (*Store, error) {
 		b:         b,
 		opts:      opts,
 		headIndex: -1,
-		known:     map[string]bool{},
 	}
 	if n > 0 {
 		rec, err := DecodeRecord(tail)
@@ -153,25 +147,21 @@ func (s *Store) PutArtifact(v any) (string, error) {
 
 // PutRawArtifact stores raw bytes content-addressed and returns their
 // digest. Use it for non-JSON payloads (golden CSVs); PutArtifact is the
-// canonical-JSON path.
+// canonical-JSON path. The store keeps nothing per digest: a re-Put of
+// identical content reaches the backend, whose write-once PutArtifact
+// leaves the stored copy as it is.
 func (s *Store) PutRawArtifact(data []byte) (string, error) {
 	digest := Digest(data)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return "", errClosed
 	}
-	if !s.known[digest] {
-		s.known[digest] = true
-		s.artifacts++
-		// Enqueued under the store lock so a concurrent Close (which flips
-		// closed under the same lock before draining) can never strand an
-		// accepted op. The batcher preserves FIFO order, so an artifact
-		// enqueued before the record referencing it is durable no later than
-		// that record.
-		s.bat.enqueue(op{artifactDigest: digest, artifactData: data})
-	}
-	s.mu.Unlock()
+	// Enqueued under the store lock so a concurrent Close (which flips
+	// closed under the same lock before draining) can never strand an
+	// accepted op. The batcher writes an artifact enqueued before the
+	// record referencing it no later than that record.
+	s.bat.enqueue(op{artifactDigest: digest, artifactData: data})
 	return digest, nil
 }
 
@@ -260,7 +250,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
 		Records:   s.records,
-		Artifacts: s.artifacts,
 		HeadIndex: s.headIndex,
 		HeadHash:  s.headHash,
 	}

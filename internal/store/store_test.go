@@ -103,7 +103,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			t.Fatalf("verify report %+v", rep)
 		}
 		st := s.Stats()
-		if st.Records != 5 || st.Artifacts != 3 || st.HeadIndex != 4 || st.HeadHash != recs[4].Hash {
+		if st.Records != 5 || st.HeadIndex != 4 || st.HeadHash != recs[4].Hash {
 			t.Fatalf("stats %+v", st)
 		}
 		if err := s.Close(); err != nil {

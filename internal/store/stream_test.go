@@ -229,3 +229,43 @@ func (f *flakyBackend) AppendLedger(lines [][]byte) error {
 	}
 	return f.MemBackend.AppendLedger(lines)
 }
+
+// discardArtifacts is a MemBackend that drops every artifact, so the heap a
+// test measures is the store's own.
+type discardArtifacts struct{ *MemBackend }
+
+// PutArtifact implements Backend, keeping nothing.
+func (discardArtifacts) PutArtifact(string, []byte) error { return nil }
+
+// TestStoreRetainsNoPerArtifactState: a store that has put 10 000 distinct
+// artifacts and flushed them holds nothing per digest, so its memory does
+// not grow with the number of distinct results it has written. Dedup is the
+// backends' job: both PutArtifacts are write-once.
+func TestStoreRetainsNoPerArtifactState(t *testing.T) {
+	s, err := Open(discardArtifacts{NewMem()}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	put := func(from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			if _, err := s.PutArtifact(payload{Name: fmt.Sprint("artifact-", i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0, 100) // the batcher's buffers reach their steady size
+	h0 := liveHeap()
+	const n = 10_000
+	put(100, n)
+	h1 := liveHeap()
+	perPut := (float64(h1) - float64(h0)) / n
+	t.Logf("retained heap per distinct artifact: %.1f B", perPut)
+	if perPut > 8 {
+		t.Errorf("each distinct artifact put retains %.1f B of heap after Flush, want <= 8", perPut)
+	}
+}
