@@ -1,9 +1,9 @@
 // Package bench holds the microbenchmarks of the per-access hot paths —
 // the coherence engine on every leaderboard design, the per-trial engine
 // Reset, the SecDir slice Miss path, cuckoo VD insert/remove and the cache
-// replacement policies — and TestHotPathAllocFree, which pins the invariant
-// they guard: after warmup, each of these paths performs zero heap
-// allocations per operation.
+// replacement policies — and of the whole-machine invariant audit, plus
+// TestHotPathAllocFree, which pins the invariant the hot paths guard: after
+// warmup, each of them performs zero heap allocations per operation.
 //
 // End-to-end and per-layer timings live in perfbench/; run these with
 //
@@ -61,19 +61,41 @@ var policies = []cachesim.Policy{cachesim.LRU, cachesim.Random, cachesim.SRRIP, 
 // consolidations); the same loop on every design keeps the rows comparable.
 func engineAccess(cfg config.Config) setupFunc {
 	return func(tb testing.TB) func(int) {
-		e, err := coherence.NewEngine(cfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
-		op := func(i int) {
-			a := gen.Next()
-			e.Access(i&7, a.Line, a.Write)
-		}
-		for i := 0; i < warmupAccesses; i++ {
-			op(i)
-		}
+		_, op := warmEngine(tb, cfg)
 		return op
+	}
+}
+
+// warmEngine builds an engine for cfg and runs engineAccess's warm-up on
+// it; op performs the loop's next access.
+func warmEngine(tb testing.TB, cfg config.Config) (e *coherence.Engine, op func(int)) {
+	e, err := coherence.NewEngine(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
+	op = func(i int) {
+		a := gen.Next()
+		e.Access(i&7, a.Line, a.Write)
+	}
+	for i := 0; i < warmupAccesses; i++ {
+		op(i)
+	}
+	return e, op
+}
+
+// checkInvariants is one whole-machine Engine.CheckInvariants audit of
+// engineAccess's warm state, as perfbench's sim-specmix runs after every
+// simulated run. The audit is off the per-access path and may allocate, so
+// it is not a TestHotPathAllocFree case.
+func checkInvariants(cfg config.Config) setupFunc {
+	return func(tb testing.TB) func(int) {
+		e, _ := warmEngine(tb, cfg)
+		return func(int) {
+			if err := e.CheckInvariants(); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -204,6 +226,14 @@ func BenchmarkEngineAccess(b *testing.B) {
 func BenchmarkEngineReset(b *testing.B) {
 	for _, d := range engineDesigns() {
 		b.Run(d.name, func(b *testing.B) { measure(b, engineReset(d.cfg)) })
+	}
+}
+
+// BenchmarkCheckInvariants times the coherence audit on every leaderboard
+// design.
+func BenchmarkCheckInvariants(b *testing.B) {
+	for _, d := range engineDesigns() {
+		b.Run(d.name, func(b *testing.B) { measure(b, checkInvariants(d.cfg)) })
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // core, bit 2 the write flag, bits 3-7 the high line bits — and byte 2k+1 the
 // low line bits, spanning the same 13-bit line space as the oracle test.
 // Every hit is validated against the protocol oracle and the structural
-// invariants must hold at the end. Run with
+// invariants are audited after every access, so a violation that a later
+// access would heal is still caught at the op that made it. Run with
 // `go test -fuzz FuzzEngineOps ./internal/coherence` for open-ended
 // exploration; under plain `go test` the seed corpus and the checked-in files
 // under testdata/fuzz act as regression tests.
@@ -43,9 +44,9 @@ func FuzzEngineOps(f *testing.F) {
 				t.Fatalf("op %d: core %d hit line %#x it cannot legally hold", i, c, uint64(l))
 			}
 			o.access(c, l, w)
-		}
-		if err := e.CheckInvariants(); err != nil {
-			t.Fatal(err)
+			if err := e.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
 		}
 	})
 }

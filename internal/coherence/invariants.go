@@ -15,8 +15,12 @@ type entryRanger interface {
 }
 
 // CheckInvariants verifies the global coherence invariants and returns the
-// first violation found. It is O(cached lines) and intended for tests and
-// property-based fuzzing, not for the hot path.
+// first violation found. It is intended for tests, fuzzing and end-of-run
+// audits, not for the hot path. Its cost is one directory look-up per
+// private L2 line plus a few set-indexed cache probes per directory entry:
+// an ED/TD entry probes its sharers' L2s, and a VD presence probes its
+// owner's L2 and its slice's ED and TD. The only skew hashes are those of
+// the look-ups of VD-tracked L2 lines, one pair each.
 //
 // Invariants:
 //  1. L1 is a subset of L2 on every core.
@@ -70,20 +74,10 @@ func (e *Engine) CheckInvariants() error {
 			continue
 		}
 		var tded *directory.TDED
-		var vdOf func(c int) interface {
-			Contains(addr.Line) bool
-			Lines() []addr.Line
-		}
+		var sec *core.Slice
 		switch s := sl.(type) {
 		case *core.Slice:
-			tded = s.TDED()
-			ss := s
-			vdOf = func(c int) interface {
-				Contains(addr.Line) bool
-				Lines() []addr.Line
-			} {
-				return ss.VDBank(c)
-			}
+			tded, sec = s.TDED(), s
 		case interface{ TDED() *directory.TDED }:
 			// The baseline and the ceaser directory, which wraps one.
 			tded = s.TDED()
@@ -146,14 +140,6 @@ func (e *Engine) CheckInvariants() error {
 						}
 					}
 				})
-				if err == nil && vdOf != nil {
-					for c := 0; c < e.cfg.Cores; c++ {
-						if vdOf(c).Contains(l) {
-							err = fmt.Errorf("slice %d: line %#x in both %v and VD bank %d", si, uint64(l), where, c)
-							break
-						}
-					}
-				}
 				return err == nil
 			}
 		}
@@ -165,12 +151,23 @@ func (e *Engine) CheckInvariants() error {
 		if err != nil {
 			return err
 		}
-		if vdOf != nil {
-			for c := 0; c < e.cfg.Cores; c++ {
-				for _, l := range vdOf(c).Lines() {
-					if _, ok := e.l2[c].Probe(l); !ok {
-						return fmt.Errorf("slice %d: VD bank %d entry %#x not in owner's L2", si, c, uint64(l))
-					}
+		if sec == nil {
+			continue
+		}
+		// 5 & 6 from the VD side: a VD presence (stash included) must be
+		// absent from the slice's ED and TD and present in its owner's L2.
+		// Probing ED and TD per presence covers every (ED/TD entry, bank)
+		// pair without a skew hash.
+		for c := 0; c < e.cfg.Cores; c++ {
+			for _, l := range sec.VDBank(c).Lines() {
+				if _, ok := tded.ED.Probe(l); ok {
+					return fmt.Errorf("slice %d: line %#x in both ED and VD bank %d", si, uint64(l), c)
+				}
+				if _, ok := tded.TD.Probe(l); ok {
+					return fmt.Errorf("slice %d: line %#x in both TD and VD bank %d", si, uint64(l), c)
+				}
+				if _, ok := e.l2[c].Probe(l); !ok {
+					return fmt.Errorf("slice %d: VD bank %d entry %#x not in owner's L2", si, c, uint64(l))
 				}
 			}
 		}

@@ -69,7 +69,7 @@ func TestEngineAgainstOracle(t *testing.T) {
 
 // TestEngineQuickSequences uses testing/quick to generate short operation
 // sequences and validates both the oracle property and the full structural
-// invariants at the end of each sequence.
+// invariants after every operation of each sequence.
 func TestEngineQuickSequences(t *testing.T) {
 	cfg := smallConfig(config.SecDir)
 	f := func(ops []uint32) bool {
@@ -78,7 +78,7 @@ func TestEngineQuickSequences(t *testing.T) {
 			return false
 		}
 		o := newOracle()
-		for _, op := range ops {
+		for i, op := range ops {
 			c := int(op % 4)
 			l := addr.Line((op >> 2) % 4096)
 			w := op%7 == 0
@@ -88,8 +88,12 @@ func TestEngineQuickSequences(t *testing.T) {
 				return false
 			}
 			o.access(c, l, w)
+			if err := e.CheckInvariants(); err != nil {
+				t.Errorf("op %d of %d: %v", i, len(ops), err)
+				return false
+			}
 		}
-		return e.CheckInvariants() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -247,20 +247,6 @@ func TestNoFillServedUncached(t *testing.T) {
 	}
 }
 
-// TestInvariantCheckerDetectsCorruption: the checker must actually catch a
-// broken state (guards against a vacuous checker).
-func TestInvariantCheckerDetectsCorruption(t *testing.T) {
-	cfg := smallConfig(config.SecDir)
-	e := newEngine(t, cfg)
-	e.Access(0, 0x123, false)
-	// Corrupt: remove the line from L2 behind the directory's back.
-	e.l1[0].Remove(0x123)
-	e.l2[0].Remove(0x123)
-	if err := e.CheckInvariants(); err == nil {
-		t.Fatal("invariant checker missed a directory entry for an uncached line")
-	}
-}
-
 // TestDirStatsAggregation: DirStats sums per-slice counters.
 func TestDirStatsAggregation(t *testing.T) {
 	cfg := smallConfig(config.Baseline)

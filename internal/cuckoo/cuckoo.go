@@ -362,7 +362,8 @@ func (t *Table) Insert(l addr.Line) (victim addr.Line, evicted bool) {
 	panic("cuckoo: unreachable")
 }
 
-// Lines returns all valid lines, in arbitrary order. Used by tests.
+// Lines returns all valid lines, stash included, in arbitrary order. Used by
+// tests and by the coherence engine's invariant audit.
 func (t *Table) Lines() []addr.Line {
 	out := make([]addr.Line, 0, t.count)
 	for i := range t.arr {
