@@ -197,6 +197,7 @@ func attackVDConflicts(b *testing.B, mutate func(*config.Config)) float64 {
 		b.Fatal(err)
 	}
 	res := r.Run()
+	r.Close()
 	var accesses uint64
 	for _, c := range res.PerCore {
 		accesses += c.Stats.Accesses
@@ -253,6 +254,7 @@ func BenchmarkAblationEmptyBit(b *testing.B) {
 			b.Fatal(err)
 		}
 		res := r.Run()
+		r.Close()
 		if res.Dir.VDLookupsNoEB > 0 {
 			ratio = float64(res.Dir.VDLookups) / float64(res.Dir.VDLookupsNoEB)
 		}
@@ -339,6 +341,7 @@ func BenchmarkAblationSearchBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 				ipc = r.Run().TotalIPC()
+				r.Close()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})
@@ -364,6 +367,7 @@ func BenchmarkAblationMitigation(b *testing.B) {
 					b.Fatal(err)
 				}
 				ipc = r.Run().TotalIPC()
+				r.Close()
 			}
 			b.ReportMetric(ipc, "IPC")
 		})
@@ -389,6 +393,7 @@ func BenchmarkAblationProtocol(b *testing.B) {
 					b.Fatal(err)
 				}
 				wb = float64(r.Run().MemWritebacks)
+				r.Close()
 			}
 			b.ReportMetric(wb, "mem-writebacks")
 		})
@@ -415,6 +420,7 @@ func BenchmarkAblationL2Policy(b *testing.B) {
 					b.Fatal(err)
 				}
 				misses = float64(r.Run().L2Misses())
+				r.Close()
 			}
 			b.ReportMetric(misses, "L2-misses")
 		})

@@ -103,6 +103,7 @@ func main() {
 		d.EDToTD, d.TDToED, d.TDDrop, d.TDToVD, d.VDToTD, d.VDDrop)
 	fmt.Printf("inclusion victims: %d\n", d.InclusionVictims)
 	occ := r.Engine.OccupancySnapshot()
+	r.Close()
 	fmt.Printf("directory occupancy: ED %.0f%%  TD %.0f%%", 100*occ.EDFill(), 100*occ.TDFill())
 	if occ.VDCapacity > 0 {
 		fmt.Printf("  VD %.1f%%", 100*occ.VDFill())
@@ -155,6 +156,7 @@ func runCompare(workload string, cores int, seed int64, warmup, measure uint64, 
 			return err
 		}
 		res := r.Run()
+		r.Close()
 		if err := w.Close(); err != nil {
 			return err
 		}

@@ -1,9 +1,10 @@
 // Package bench holds the microbenchmarks of the per-access hot paths —
 // the coherence engine on every leaderboard design, the per-trial engine
 // Reset, the SecDir slice Miss path, cuckoo VD insert/remove and the cache
-// replacement policies — and of the whole-machine invariant audit, plus
-// TestHotPathAllocFree, which pins the invariant the hot paths guard: after
-// warmup, each of them performs zero heap allocations per operation.
+// replacement policies — of the whole-machine invariant audit and of one
+// short simulation on a pooled machine, plus TestHotPathAllocFree, which
+// pins the invariant the hot paths guard: after warmup, each of them
+// performs zero heap allocations per operation.
 //
 // End-to-end and per-layer timings live in perfbench/; run these with
 //
@@ -11,6 +12,7 @@
 package bench
 
 import (
+	"context"
 	"testing"
 
 	"secdir/internal/addr"
@@ -20,6 +22,7 @@ import (
 	"secdir/internal/core"
 	"secdir/internal/cuckoo"
 	"secdir/internal/rng"
+	"secdir/internal/sim"
 	"secdir/internal/trace"
 )
 
@@ -234,6 +237,46 @@ func BenchmarkEngineReset(b *testing.B) {
 func BenchmarkCheckInvariants(b *testing.B) {
 	for _, d := range engineDesigns() {
 		b.Run(d.name, func(b *testing.B) { measure(b, checkInvariants(d.cfg)) })
+	}
+}
+
+// simRunAccesses is the per-core warm-up and measured length of one
+// BenchmarkSimRun operation: short, so a one-iteration smoke run stays fast.
+const simRunAccesses = 2000
+
+// simRun is one whole simulation as the experiments and the job server run
+// it: sim.New, RunContext over SPEC mix 2 and Close. The pool is warmed by
+// one run first, so the loop measures runs on a reused machine.
+func simRun(b *testing.B, cfg config.Config) {
+	run := func() {
+		b.StopTimer()
+		w, err := trace.NewSpecMix(2, cfg.Cores, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		r, err := sim.New(sim.Options{Config: cfg, Work: w, WarmupAccesses: simRunAccesses, MeasureAccesses: simRunAccesses})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.RunContext(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkSimRun times New → RunContext → Close on every leaderboard
+// design.
+func BenchmarkSimRun(b *testing.B) {
+	for _, d := range engineDesigns() {
+		b.Run(d.name, func(b *testing.B) { simRun(b, d.cfg) })
 	}
 }
 

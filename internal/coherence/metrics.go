@@ -37,7 +37,8 @@ type engineMetrics struct {
 // attaches the directory slices' own instruments (SecDir slices add the VD
 // relocation-depth histogram and Empty-Bit counters). Occupancy is exported
 // as gauge functions evaluated at snapshot time, so the hot path never pays
-// for it. Attaching a nil registry detaches metrics.
+// for it. Attaching a nil registry detaches metrics, but the gauges stay
+// registered, so Release never pools an engine that has had a registry.
 func (e *Engine) AttachMetrics(r *metrics.Registry) {
 	if r == nil {
 		e.mx = nil
@@ -58,6 +59,7 @@ func (e *Engine) AttachMetrics(r *metrics.Registry) {
 	mx.writebacks = r.Counter("engine/mem_writebacks")
 	mx.noFills = r.Counter("engine/no_fills")
 	e.mx = mx
+	e.metered = true
 
 	// Directory occupancy: TD/ED/VD entry counts and fill fractions.
 	r.GaugeFunc("dir/ed_entries", func() float64 { return float64(e.OccupancySnapshot().EDEntries) })

@@ -135,8 +135,9 @@ func memoryImage(t *testing.T, e *Engine, lines []addr.Line) map[addr.Line]Acces
 // directory design: an engine that ran a full workload, was Reset with a new
 // seed and replayed a second workload must be indistinguishable from a fresh
 // engine built with that seed — every AccessResult, the counters, the
-// invariants and the memory image. The leakage lab's per-worker engine pool
-// rests on this exactness (worker-count invariance would otherwise break).
+// invariants and the memory image. The engine pool (Acquire/Release), which
+// every simulation and leakage trial worker draws from, rests on this
+// exactness (worker-count invariance would otherwise break).
 func TestResetBitIdentical(t *testing.T) {
 	for _, d := range allDesigns() {
 		t.Run(d.name, func(t *testing.T) {

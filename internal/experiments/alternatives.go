@@ -74,7 +74,7 @@ func Alternatives(ctx context.Context, o RunOpts) ([]ALTRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := run(ctx, cfg, w, o, nil)
+		res, err := run(ctx, cfg, w, o, nil)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err

@@ -64,8 +64,8 @@ func (o RunOpts) configs() (base, sec config.Config) {
 }
 
 // run simulates one workload on one configuration, honouring ctx
-// cancellation.
-func run(ctx context.Context, cfg config.Config, w trace.Workload, o RunOpts, obs sim.Observer) (sim.Result, *sim.Runner, error) {
+// cancellation, and releases the machine.
+func run(ctx context.Context, cfg config.Config, w trace.Workload, o RunOpts, obs sim.Observer) (sim.Result, error) {
 	r, err := sim.New(sim.Options{
 		Config:          cfg,
 		Work:            w,
@@ -75,13 +75,10 @@ func run(ctx context.Context, cfg config.Config, w trace.Workload, o RunOpts, ob
 		Metrics:         o.Metrics,
 	})
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, err
 	}
-	res, err := r.RunContext(ctx)
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	return res, r, nil
+	defer r.Close()
+	return r.RunContext(ctx)
 }
 
 // ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ func Fig6AESTrace(ctx context.Context, o RunOpts) (F6Result, error) {
 	}
 
 	// No warmup: the cold first touches are the point of the figure.
-	_, _, err := run(ctx, cfg, trace.Workload{Name: "aes", Gens: gens}, RunOpts{
+	_, err := run(ctx, cfg, trace.Workload{Name: "aes", Gens: gens}, RunOpts{
 		Warmup: 0, Measure: o.Measure, Cores: o.Cores, Seed: o.Seed,
 		Metrics: o.Metrics,
 	}, obs)
@@ -285,7 +282,7 @@ func comparePair(ctx context.Context, name string, mk func() (trace.Workload, er
 		if err != nil {
 			return row, err
 		}
-		res, _, err := run(ctx, cfg, w, o, nil)
+		res, err := run(ctx, cfg, w, o, nil)
 		if err != nil {
 			return row, err
 		}
@@ -423,7 +420,7 @@ func table6For(ctx context.Context, name string, mk func() (trace.Workload, erro
 	if err != nil {
 		return row, err
 	}
-	res, _, err := run(ctx, sec, w, o, nil)
+	res, err := run(ctx, sec, w, o, nil)
 	if err != nil {
 		return row, err
 	}
@@ -442,7 +439,7 @@ func table6For(ctx context.Context, name string, mk func() (trace.Workload, erro
 		if err != nil {
 			return row, err
 		}
-		r, _, err := run(ctx, cfg, w, o, nil)
+		r, err := run(ctx, cfg, w, o, nil)
 		if err != nil {
 			return row, err
 		}

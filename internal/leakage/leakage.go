@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -262,7 +261,7 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 }
 
 // trialEngine is one worker's reusable machine. The worker's first trial
-// takes an engine from the package's idle pool (or builds one); every later
+// takes an engine from coherence's idle pool (or builds one); every later
 // trial resets it in place with the new trial seed, and the worker returns
 // it to the pool when it finishes. Engine.Reset is pinned bit-identical to
 // fresh construction by the coherence oracle tests, so pooling cannot perturb
@@ -287,7 +286,7 @@ func (te *trialEngine) schedule(rounds int) []bool {
 }
 
 // engine returns the worker's machine reset for the trial seed, taking it
-// from the idle pool on first use.
+// from coherence's idle pool on first use.
 func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) {
 	if te.eng != nil {
 		if err := te.eng.Reset(seed); err != nil {
@@ -295,7 +294,7 @@ func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) 
 		}
 		return te.eng, nil
 	}
-	e, err := idleEngines.get(o.Config, seed)
+	e, err := coherence.Acquire(o.Config.WithSeed(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -305,58 +304,8 @@ func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) 
 
 // close returns the engine to the idle pool and drops the schedule buffer.
 func (te *trialEngine) close() {
-	if te.eng != nil {
-		idleEngines.put(te.eng)
-	}
+	coherence.Release(te.eng)
 	te.eng, te.sched = nil, nil
-}
-
-// idleEngines is the process-wide pool of trial engines between runs.
-var idleEngines enginePool
-
-// enginePool keeps the engines trial workers have returned, so the next Run
-// on the same configuration resets one instead of building and discarding a
-// whole machine. It holds at most GOMAXPROCS engines — the default Workers
-// width, so a default-width Run on a warm pool finds an engine for every
-// worker — and evicts the least recently returned. Engines build their
-// directory slices on first use and keep them, so an idle engine costs what
-// its trials touched.
-//
-// It is a mutex and a slice, not a sync.Pool: sync.Pool's per-P private
-// slots strand engines where the next worker cannot see them, and once
-// allocation stops the GC that would clear them almost never runs, so idle
-// engines would pile up beyond any bound.
-type enginePool struct {
-	mu   sync.Mutex
-	idle []*coherence.Engine // least recently returned first
-}
-
-// get returns an engine for cfg reseeded with seed: the most recently
-// returned idle engine whose configuration equals cfg in everything but the
-// seed, reset, or else a new one.
-func (p *enginePool) get(cfg config.Config, seed int64) (*coherence.Engine, error) {
-	key := cfg.WithSeed(0)
-	p.mu.Lock()
-	for i := len(p.idle) - 1; i >= 0; i-- {
-		if e := p.idle[i]; e.Config().WithSeed(0) == key {
-			p.idle = slices.Delete(p.idle, i, i+1)
-			p.mu.Unlock()
-			return e, e.Reset(seed)
-		}
-	}
-	p.mu.Unlock()
-	return coherence.NewEngine(cfg.WithSeed(seed))
-}
-
-// put returns an engine to the pool, evicting the least recently returned
-// one when the pool is full.
-func (p *enginePool) put(e *coherence.Engine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.idle) - runtime.GOMAXPROCS(0) + 1; n > 0 {
-		p.idle = slices.Delete(p.idle, 0, n)
-	}
-	p.idle = append(p.idle, e)
 }
 
 // mean returns the arithmetic mean of x (0 for an empty slice).

@@ -10,21 +10,6 @@ import (
 	"secdir/internal/config"
 )
 
-// drainEnginePool empties the process-wide idle pool, so the next Run starts
-// cold.
-func drainEnginePool() {
-	idleEngines.mu.Lock()
-	idleEngines.idle = nil
-	idleEngines.mu.Unlock()
-}
-
-// idleEngineCount returns how many engines the pool holds.
-func idleEngineCount() int {
-	idleEngines.mu.Lock()
-	defer idleEngines.mu.Unlock()
-	return len(idleEngines.idle)
-}
-
 // poolCells returns small measurements over four configurations with varied
 // seeds and worker widths. skylake-unfixed and skylake-fixed differ only in
 // AppendixAFix, so an engine shared between them would change a verdict.
@@ -65,7 +50,7 @@ func coldVerdicts(t *testing.T, cells []Options) []Verdict {
 	t.Helper()
 	want := make([]Verdict, len(cells))
 	for i, o := range cells {
-		drainEnginePool()
+		coherence.DropIdleEngines()
 		v, err := Run(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
@@ -75,17 +60,17 @@ func coldVerdicts(t *testing.T, cells []Options) []Verdict {
 	return want
 }
 
-// TestEnginePoolReuseBitIdentical pins the cross-Run engine pool to a cold
-// pool: a sequence that reuses engines across configurations, seeds and
-// worker widths, and overflows the pool so it evicts, must reproduce every
-// verdict a cold pool gives. GOMAXPROCS is lowered to 2 so the pool's bound
+// TestEnginePoolReuseBitIdentical pins coherence's engine pool, as trial
+// workers use it across Runs, to a cold pool: a sequence that reuses engines
+// across configurations, seeds and worker widths, and overflows the pool so
+// it evicts, must reproduce every verdict a cold pool gives. GOMAXPROCS is lowered to 2 so the pool's bound
 // is small enough to evict on any host.
 func TestEnginePoolReuseBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	cells := poolCells(t)
 	want := coldVerdicts(t, cells)
 
-	drainEnginePool()
+	coherence.DropIdleEngines()
 	for round := 0; round < 2; round++ {
 		for i, o := range cells {
 			v, err := Run(context.Background(), o)
@@ -96,45 +81,11 @@ func TestEnginePoolReuseBitIdentical(t *testing.T) {
 				t.Fatalf("round %d cell %d (%s, seed %d): pooled verdict diverged:\ncold   %+v\npooled %+v",
 					round, i, o.ConfigName, o.Seed, want[i], v)
 			}
-			if n := idleEngineCount(); n > runtime.GOMAXPROCS(0) {
+			if n := coherence.IdleEngines(); n > runtime.GOMAXPROCS(0) {
 				t.Fatalf("pool holds %d engines, bound %d", n, runtime.GOMAXPROCS(0))
 			}
 		}
 	}
-}
-
-// TestEnginePoolKeysOnWholeConfig: an idle engine is reused only for a
-// configuration equal in everything but the seed. The fixed and unfixed
-// Skylake-X baselines differ in AppendixAFix alone and must not share one.
-func TestEnginePoolKeysOnWholeConfig(t *testing.T) {
-	drainEnginePool()
-	unfixed, err := ParseConfig("skylake-unfixed", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := unfixed
-	fixed.AppendixAFix = true
-
-	e, err := coherence.NewEngine(unfixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idleEngines.put(e)
-	got, err := idleEngines.get(fixed, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == e || got.Config() != fixed.WithSeed(5) {
-		t.Fatalf("skylake-fixed got the idle skylake-unfixed engine (config %+v)", got.Config())
-	}
-	again, err := idleEngines.get(unfixed, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != e || again.Config() != unfixed.WithSeed(6) {
-		t.Fatal("skylake-unfixed did not reuse its idle engine reseeded")
-	}
-	drainEnginePool()
 }
 
 // TestEnginePoolConcurrentRuns is the concurrent variant of the pool
@@ -148,7 +99,7 @@ func TestEnginePoolConcurrentRuns(t *testing.T) {
 	}
 	want := coldVerdicts(t, cells)
 
-	drainEnginePool()
+	coherence.DropIdleEngines()
 	var wg sync.WaitGroup
 	errs := make(chan string, 2*len(cells))
 	for g := 0; g < 2; g++ {
@@ -173,7 +124,7 @@ func TestEnginePoolConcurrentRuns(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if n := idleEngineCount(); n > runtime.GOMAXPROCS(0) {
+	if n := coherence.IdleEngines(); n > runtime.GOMAXPROCS(0) {
 		t.Fatalf("pool holds %d engines, bound %d", n, runtime.GOMAXPROCS(0))
 	}
 }
@@ -228,7 +179,7 @@ func TestWarmRunAllocs(t *testing.T) {
 			}
 		}
 	}
-	drainEnginePool()
+	coherence.DropIdleEngines()
 	run()
 	before := totalAlloc()
 	run()

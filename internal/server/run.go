@@ -279,6 +279,7 @@ func runReplay(ctx context.Context, spec JobSpec, reg *metrics.Registry, progres
 		return nil, err
 	}
 	res, err := r.RunContext(ctx)
+	r.Close()
 	if err != nil {
 		return nil, err
 	}

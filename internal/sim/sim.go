@@ -100,16 +100,25 @@ func (r Result) L2Misses() uint64 {
 
 // Runner drives a workload over an engine with per-core clocks.
 type Runner struct {
+	// Engine is the simulated machine; Close hands it back and sets it to
+	// nil.
 	Engine *coherence.Engine
 	opts   Options
 }
 
-// New builds the machine and binds the workload.
+// New binds the workload to a machine. Without Options.Metrics the machine
+// comes from coherence's idle pool (reset, and bit-identical to a fresh
+// build); with Metrics it is built privately, since the registry's gauges
+// keep reading it and it must never be pooled.
 func New(opts Options) (*Runner, error) {
 	if opts.Work.Cores() != opts.Config.Cores {
 		return nil, fmt.Errorf("sim: workload drives %d cores, machine has %d", opts.Work.Cores(), opts.Config.Cores)
 	}
-	e, err := coherence.NewEngine(opts.Config)
+	build := coherence.Acquire
+	if opts.Metrics != nil {
+		build = coherence.NewEngine
+	}
+	e, err := build(opts.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -119,10 +128,15 @@ func New(opts Options) (*Runner, error) {
 	return &Runner{Engine: e, opts: opts}, nil
 }
 
-// Close releases the runner's resources. The serial engine holds none, so
-// it is a no-op kept for callers that pair every New with a Close; the
-// engine stays readable afterwards.
-func (r *Runner) Close() {}
+// Close releases the runner's engine to coherence's idle pool (an engine
+// with metrics attached is left to the garbage collector instead) and sets
+// r.Engine to nil, so the next run may reuse the machine. Read the run's
+// results and audit r.Engine before Close; the runner cannot run again
+// afterwards. A second Close is a no-op.
+func (r *Runner) Close() {
+	coherence.Release(r.Engine)
+	r.Engine = nil
+}
 
 // vdSelfConflicts sums cuckoo conflicts across all SecDir slices.
 func vdSelfConflicts(e *coherence.Engine) uint64 {

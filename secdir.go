@@ -154,13 +154,15 @@ func (m *Machine) CheckInvariants() error { return m.eng.CheckInvariants() }
 // (statistics, per-slice inspection, the attack toolkit).
 func (m *Machine) Engine() *coherence.Engine { return m.eng }
 
-// Run builds a machine and drives the workload over it, returning the
-// measured-phase results.
+// Run drives the workload over a machine, returning the measured-phase
+// results. The machine comes from the engine pool unless opts.Metrics is
+// set (see sim.New) and goes back to it when Run returns.
 func Run(opts RunOptions) (Result, error) {
 	r, err := sim.New(opts)
 	if err != nil {
 		return Result{}, err
 	}
+	defer r.Close()
 	return r.Run(), nil
 }
 
