@@ -54,9 +54,7 @@ func (EvictTimeStrategy) NewDriver(e *coherence.Engine, p Params) (Driver, error
 		d.fillers[i] = addr.Line(uint64(0x3F)<<24 + uint64(i))
 	}
 	d.dummy = addr.Line(uint64(0x3F)<<24 + uint64(len(d.fillers)))
-	// Warm the victim's state: target, dummy and fillers cached.
-	d.operation(true)
-	d.operation(false)
+	d.Rearm()
 	return d, nil
 }
 
@@ -97,6 +95,13 @@ func (d *evictTimeDriver) Round(_ int, active bool) float64 {
 // VictimEvictions always reports 0: evict+time observes the victim's timing,
 // not its cache contents.
 func (d *evictTimeDriver) VictimEvictions() int { return 0 }
+
+// Rearm warms the victim's state on the reset engine: target, dummy and
+// fillers cached.
+func (d *evictTimeDriver) Rearm() {
+	d.operation(true)
+	d.operation(false)
+}
 
 // EvictTime runs rounds of the evict+time attack: the attacker primes, then
 // times the victim's next operation, which loads the target on active rounds

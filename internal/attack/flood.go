@@ -41,7 +41,9 @@ func (FloodReloadStrategy) NewDriver(e *coherence.Engine, p Params) (Driver, err
 	if len(flood) < floodLines {
 		return nil, fmt.Errorf("attack: found only %d/%d same-slice lines", len(flood), floodLines)
 	}
-	return &floodReloadDriver{e: e, p: p, flood: flood}, nil
+	d := &floodReloadDriver{e: e, p: p, flood: flood}
+	d.Rearm()
+	return d, nil
 }
 
 // floodReloadDriver is FloodReloadStrategy's per-engine state.
@@ -81,6 +83,9 @@ func (d *floodReloadDriver) Round(_ int, active bool) float64 {
 // VictimEvictions reports rounds whose flood displaced the victim's private
 // copy.
 func (d *floodReloadDriver) VictimEvictions() int { return d.evictions }
+
+// Rearm zeroes the eviction count.
+func (d *floodReloadDriver) Rearm() { d.evictions = 0 }
 
 // FloodReload runs rounds of the brute-force slice-flooding variant of
 // evict+reload against directories whose set mapping the attacker cannot

@@ -17,44 +17,48 @@ type Monitor struct {
 	eng       *coherence.Engine
 	cores     []int
 	lines     []addr.Line
-	attackers map[addr.Line]*Attacker
+	attackers []*Attacker // attackers[i] evicts lines[i]
+	touched   []bool      // Observe's result, reused across windows
 }
 
-// NewMonitor builds one eviction set per monitored line.
-func NewMonitor(e *coherence.Engine, cores []int, lines []addr.Line) (*Monitor, error) {
+// NewMonitor builds one eviction set of evictionLines lines per monitored
+// line.
+func NewMonitor(e *coherence.Engine, cores []int, lines []addr.Line, evictionLines int) (*Monitor, error) {
 	m := &Monitor{
 		eng:       e,
 		cores:     cores,
 		lines:     lines,
-		attackers: make(map[addr.Line]*Attacker, len(lines)),
+		attackers: make([]*Attacker, len(lines)),
+		touched:   make([]bool, len(lines)),
 	}
-	for _, l := range lines {
-		a, err := NewAttacker(e, cores, l, defaultEvictionLines)
+	for i, l := range lines {
+		a, err := NewAttacker(e, cores, l, evictionLines)
 		if err != nil {
 			return nil, fmt.Errorf("attack: eviction set for %#x: %w", uint64(l), err)
 		}
-		m.attackers[l] = a
+		m.attackers[i] = a
 	}
 	return m, nil
 }
 
 // Evict runs the Conflict step for every monitored line.
 func (m *Monitor) Evict() {
-	for _, l := range m.lines {
-		m.attackers[l].Prime()
+	for _, a := range m.attackers {
+		a.Prime()
 	}
 }
 
 // Observe runs the Analyze step: it reloads every monitored line and reports
 // which ones re-entered the hierarchy since Evict — the victim's observed
-// access set. The attacker's own reload copies are flushed afterwards.
+// access set, indexed like the monitored lines. The attacker's own reload
+// copies are flushed afterwards. The slice is the monitor's own and is
+// overwritten by the next Observe.
 func (m *Monitor) Observe() []bool {
-	touched := make([]bool, len(m.lines))
 	for i, l := range m.lines {
-		touched[i] = m.attackers[l].Reload(l)
+		m.touched[i] = m.attackers[i].Reload(l)
 	}
 	m.eng.FlushCore(m.cores[0])
-	return touched
+	return m.touched
 }
 
 // MonitorResult summarises a pattern-recovery experiment.
@@ -99,9 +103,8 @@ func (MonitorStrategy) DefaultLines() int { return defaultEvictionLines }
 // NewDriver prepares a single-line monitor against e.
 func (MonitorStrategy) NewDriver(e *coherence.Engine, p Params) (Driver, error) {
 	lines := []addr.Line{p.Target}
-	return newMonitorDriver(e, p.Victim, p.Attackers, lines, func(_ int, active bool) []bool {
-		return []bool{active}
-	})
+	return newMonitorDriver(e, p.Victim, p.Attackers, lines, p.lines(defaultEvictionLines),
+		func(_ int, active bool, touch []bool) { touch[0] = active })
 }
 
 // monitorDriver drives one Monitor window per round: evict every monitored
@@ -112,27 +115,31 @@ type monitorDriver struct {
 	m      *Monitor
 	victim int
 	lines  []addr.Line
-	// truth produces the victim's per-line access set for window w; the
-	// active flag carries the trial schedule for strategies that derive the
-	// truth from it.
-	truth func(w int, active bool) []bool
+	// truth fills touch with the victim's per-line access set for window w;
+	// the active flag carries the trial schedule for strategies that derive
+	// the truth from it. touch is the driver's own buffer, reused per window.
+	truth func(w int, active bool, touch []bool)
+	touch []bool
 	res   MonitorResult
 }
 
 // newMonitorDriver builds the monitor and its driver.
-func newMonitorDriver(e *coherence.Engine, victim int, cores []int, lines []addr.Line, truth func(w int, active bool) []bool) (*monitorDriver, error) {
-	m, err := NewMonitor(e, cores, lines)
+func newMonitorDriver(e *coherence.Engine, victim int, cores []int, lines []addr.Line, evictionLines int, truth func(w int, active bool, touch []bool)) (*monitorDriver, error) {
+	m, err := NewMonitor(e, cores, lines, evictionLines)
 	if err != nil {
 		return nil, err
 	}
-	return &monitorDriver{e: e, m: m, victim: victim, lines: lines, truth: truth}, nil
+	d := &monitorDriver{e: e, m: m, victim: victim, lines: lines, truth: truth, touch: make([]bool, len(lines))}
+	d.Rearm()
+	return d, nil
 }
 
 // Round runs one observation window and returns how many monitored lines the
 // attacker classified as touched.
 func (d *monitorDriver) Round(w int, active bool) float64 {
 	d.m.Evict()
-	truth := d.truth(w, active)
+	truth := d.touch
+	d.truth(w, active, truth)
 	for i, touch := range truth {
 		if touch {
 			d.e.Access(d.victim, d.lines[i], false)
@@ -162,13 +169,17 @@ func (d *monitorDriver) Round(w int, active bool) float64 {
 // state, not the victim's private copies.
 func (d *monitorDriver) VictimEvictions() int { return 0 }
 
+// Rearm zeroes the confusion matrix.
+func (d *monitorDriver) Rearm() { d.res = MonitorResult{} }
+
 // RecoverPattern runs windows observation rounds against a victim that, in
 // each window, accesses the subset of lines selected by victimTouch (which is
 // also the ground truth). It returns the confusion matrix of the attacker's
 // reconstruction.
 func RecoverPattern(e *coherence.Engine, victim int, cores []int, lines []addr.Line, windows int, victimTouch func(window int) []bool) (MonitorResult, error) {
-	d, err := newMonitorDriver(e, victim, cores, lines, func(w int, _ bool) []bool {
-		return victimTouch(w)
+	d, err := newMonitorDriver(e, victim, cores, lines, defaultEvictionLines, func(w int, _ bool, touch []bool) {
+		clear(touch)
+		copy(touch, victimTouch(w))
 	})
 	if err != nil {
 		return MonitorResult{}, err

@@ -36,11 +36,17 @@ func (p Params) lines(def int) int {
 	return def
 }
 
-// Driver executes one attack round at a time against a prepared engine. A
-// round's scalar observable is what the attacker measures on hardware
-// (probe misses, reload hit, victim cycles, ...); victim-active and
+// Driver executes one attack round at a time against the engine it was
+// mounted on. A round's scalar observable is what the attacker measures on
+// hardware (probe misses, reload hit, victim cycles, ...); victim-active and
 // victim-idle observables form the two distributions the leakage lab tests
 // against each other.
+//
+// A driver stays mounted on its engine across Engine.Reset: what NewDriver
+// derives from the engine's geometry alone (eviction sets, flood sets, the
+// attacker's cores) does not depend on the seed, so one driver serves every
+// trial a worker runs on one pooled machine. Rearm is the per-trial half of
+// NewDriver.
 type Driver interface {
 	// Round runs attack round i; active selects whether the victim acts
 	// during the round's Wait step. It returns the attacker's observable.
@@ -49,6 +55,12 @@ type Driver interface {
 	// victim's private copy — ground truth the simulator exposes but a real
 	// attacker cannot see. Strategies without the notion return 0.
 	VictimEvictions() int
+	// Rearm readies the driver for a new trial on its engine, which the
+	// caller has just Reset: it zeroes the per-trial counters and replays
+	// any engine warm-up NewDriver performs, so the driver and engine are
+	// in the state NewDriver on a freshly built engine with the same seed
+	// leaves them. Every NewDriver ends by calling it.
+	Rearm()
 }
 
 // Schedule decides victim activity per round. A nil Schedule alternates
@@ -103,7 +115,9 @@ func (PrimeProbeStrategy) NewDriver(e *coherence.Engine, p Params) (Driver, erro
 	if err != nil {
 		return nil, err
 	}
-	return &primeProbeDriver{e: e, a: a, p: p}, nil
+	d := &primeProbeDriver{e: e, a: a, p: p}
+	d.Rearm()
+	return d, nil
 }
 
 // primeProbeDriver is PrimeProbeStrategy's per-engine state.
@@ -126,6 +140,9 @@ func (d *primeProbeDriver) Round(_ int, active bool) float64 {
 // set, not the victim's copy.
 func (d *primeProbeDriver) VictimEvictions() int { return 0 }
 
+// Rearm has nothing to do: prime+probe keeps no per-trial state.
+func (d *primeProbeDriver) Rearm() {}
+
 // EvictReloadStrategy mounts the evict+reload attack of §2.2 against a
 // read-shared target: the observable is 1 when the reload hit somewhere in
 // the hierarchy (the attacker's "victim accessed" verdict). Implements
@@ -144,7 +161,9 @@ func (EvictReloadStrategy) NewDriver(e *coherence.Engine, p Params) (Driver, err
 	if err != nil {
 		return nil, err
 	}
-	return &evictReloadDriver{e: e, a: a, p: p}, nil
+	d := &evictReloadDriver{e: e, a: a, p: p}
+	d.Rearm()
+	return d, nil
 }
 
 // evictReloadDriver is EvictReloadStrategy's per-engine state.
@@ -183,3 +202,6 @@ func (d *evictReloadDriver) Round(_ int, active bool) float64 {
 // VictimEvictions reports rounds whose Conflict step displaced the victim's
 // private copy.
 func (d *evictReloadDriver) VictimEvictions() int { return d.evictions }
+
+// Rearm zeroes the eviction count.
+func (d *evictReloadDriver) Rearm() { d.evictions = 0 }

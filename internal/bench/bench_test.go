@@ -1,10 +1,11 @@
 // Package bench holds the microbenchmarks of the per-access hot paths —
 // the coherence engine on every leaderboard design, the per-trial engine
 // Reset, the SecDir slice Miss path, cuckoo VD insert/remove and the cache
-// replacement policies — of the whole-machine invariant audit and of one
-// short simulation on a pooled machine, plus TestHotPathAllocFree, which
-// pins the invariant the hot paths guard: after warmup, each of them
-// performs zero heap allocations per operation.
+// replacement policies — of one leakage trial per attack strategy, of the
+// whole-machine invariant audit and of one short simulation on a pooled
+// machine, plus TestHotPathAllocFree, which pins the invariant the hot
+// paths and the trial loop guard: after warmup, each of them performs zero
+// heap allocations per operation.
 //
 // End-to-end and per-layer timings live in perfbench/; run these with
 //
@@ -16,11 +17,13 @@ import (
 	"testing"
 
 	"secdir/internal/addr"
+	"secdir/internal/attack"
 	"secdir/internal/cachesim"
 	"secdir/internal/coherence"
 	"secdir/internal/config"
 	"secdir/internal/core"
 	"secdir/internal/cuckoo"
+	"secdir/internal/leakage"
 	"secdir/internal/rng"
 	"secdir/internal/sim"
 	"secdir/internal/trace"
@@ -130,6 +133,39 @@ func engineReset(cfg config.Config) setupFunc {
 		for i := 0; i < trialAccesses; i++ {
 			op(i)
 		}
+		return op
+	}
+}
+
+// leakTrial is one leakage trial as a trial worker runs it on its warm
+// engine: Engine.Reset to the trial's seed, Driver.Rearm, and
+// leakage.DefaultRounds attack rounds, the victim active on alternate
+// rounds. The driver is mounted once, with the trial runner's geometry
+// (victim on core 0, every other core attacking the first T0 line), and one
+// trial runs before the loop. lines sizes the conflict set (0 is the
+// strategy's default).
+func leakTrial(s leakage.Strategy, cfg config.Config, lines int) setupFunc {
+	return func(tb testing.TB) func(int) {
+		e, err := coherence.NewEngine(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p := attack.Params{Victim: 0, Target: trace.T0Lines()[0], EvictionLines: lines}
+		for c := 1; c < cfg.Cores; c++ {
+			p.Attackers = append(p.Attackers, c)
+		}
+		d, err := s.NewDriver(e, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		op := func(i int) {
+			if err := e.Reset(int64(i) + 1); err != nil {
+				tb.Fatal(err)
+			}
+			d.Rearm()
+			attack.ForEachRound(d, leakage.DefaultRounds, nil, nil)
+		}
+		op(0)
 		return op
 	}
 }
@@ -280,6 +316,16 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTrial times one leakage trial per strategy, at its default
+// conflict-set size, on the unfixed Skylake-X baseline and on SecDir.
+func BenchmarkTrial(b *testing.B) {
+	for _, s := range leakage.Strategies() {
+		for _, d := range engineDesigns()[:2] {
+			b.Run(s.Name()+"/"+d.name, func(b *testing.B) { measure(b, leakTrial(s, d.cfg, 0)) })
+		}
+	}
+}
+
 // BenchmarkSecDirLookup times the SecDir slice Miss path.
 func BenchmarkSecDirLookup(b *testing.B) { measure(b, secDirLookup) }
 
@@ -300,19 +346,30 @@ func TestHotPathAllocFree(t *testing.T) {
 	type hotPath struct {
 		name  string
 		setup setupFunc
+		batch int // operations measured (default 5000)
 	}
 	var cases []hotPath
 	for _, d := range engineDesigns() {
-		cases = append(cases, hotPath{"EngineAccess/" + d.name, engineAccess(d.cfg)})
+		cases = append(cases, hotPath{name: "EngineAccess/" + d.name, setup: engineAccess(d.cfg)})
 	}
 	// Only the SecDir and Baseline slices reset in place; Reset drops the
 	// rival designs' slice objects, to be rebuilt on first use, by design.
 	for _, d := range engineDesigns()[:2] {
-		cases = append(cases, hotPath{"EngineReset/" + d.name, engineReset(d.cfg)})
+		cases = append(cases, hotPath{name: "EngineReset/" + d.name, setup: engineReset(d.cfg)})
 	}
-	cases = append(cases, hotPath{"SecDirLookup", secDirLookup}, hotPath{"CuckooInsert", cuckooInsert})
+	// One case per strategy on the baseline: a whole trial per operation,
+	// so fewer of them, and a small flood.
+	base := engineDesigns()[0]
+	for _, s := range leakage.Strategies() {
+		lines := 0
+		if s.Name() == "floodreload" {
+			lines = 1000
+		}
+		cases = append(cases, hotPath{name: "Trial/" + s.Name() + "/" + base.name, setup: leakTrial(s, base.cfg, lines), batch: 20})
+	}
+	cases = append(cases, hotPath{name: "SecDirLookup", setup: secDirLookup}, hotPath{name: "CuckooInsert", setup: cuckooInsert})
 	for _, p := range policies {
-		cases = append(cases, hotPath{"CachePolicies/" + p.String(), cachePolicy(p)})
+		cases = append(cases, hotPath{name: "CachePolicies/" + p.String(), setup: cachePolicy(p)})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,7 +378,10 @@ func TestHotPathAllocFree(t *testing.T) {
 			// AllocsPerRun averages with integer division, which would hide
 			// an allocation made on fewer than every operation; one run of
 			// a whole batch reports the batch's total instead.
-			const batch = 5000
+			batch := tc.batch
+			if batch == 0 {
+				batch = 5000
+			}
 			n := testing.AllocsPerRun(1, func() {
 				for k := 0; k < batch; k++ {
 					op(i)

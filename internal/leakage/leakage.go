@@ -212,14 +212,10 @@ func Run(ctx context.Context, o Options) (Verdict, error) {
 }
 
 // runTrial executes one independent trial on the worker's pooled engine:
-// reset (or first-trial fresh) machine, fresh driver, one balanced shuffled
-// schedule, and returns the two half-means.
+// reset (or first-trial fresh) machine, re-armed (or first-trial mounted)
+// driver, one balanced shuffled schedule, and returns the two half-means.
 func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (trialOut, error) {
-	e, err := te.engine(o, seed)
-	if err != nil {
-		return trialOut{}, err
-	}
-	d, err := o.Strategy.NewDriver(e, params)
+	e, d, err := te.mount(o, params, seed)
 	if err != nil {
 		return trialOut{}, err
 	}
@@ -260,16 +256,22 @@ func runTrial(o Options, params attack.Params, seed int64, te *trialEngine) (tri
 	return res, nil
 }
 
-// trialEngine is one worker's reusable machine. The worker's first trial
-// takes an engine from coherence's idle pool (or builds one); every later
-// trial resets it in place with the new trial seed, and the worker returns
-// it to the pool when it finishes. Engine.Reset is pinned bit-identical to
-// fresh construction by the coherence oracle tests, so pooling cannot perturb
+// trialEngine is one worker's reusable machine and the attack mounted on
+// it. The worker's first trial takes an engine from coherence's idle pool
+// (or builds one) and mounts the strategy's driver on it; every later trial
+// resets the engine in place with the new trial seed and re-arms the same
+// driver, and the worker returns the engine to the pool when it finishes.
+// Engine.Reset is pinned bit-identical to fresh construction by the
+// coherence oracle tests, and Driver.Rearm on a reset engine to NewDriver on
+// a fresh one by attack's TestRearmMatchesFresh, so reuse cannot perturb
 // verdicts or break the worker-count invariance the fleet's lossless merges
-// rely on — it only removes the per-trial and per-Run allocation of caches
-// and directories. The round schedule buffer is pooled alongside it.
+// rely on — it only removes the per-trial and per-Run rebuilding of caches,
+// directories, eviction sets and drivers. The round schedule buffer is
+// pooled alongside. A worker serves one measurement, so the strategy and
+// attack parameters are the same on every trial.
 type trialEngine struct {
 	eng   *coherence.Engine
+	drv   attack.Driver
 	sched []bool
 }
 
@@ -285,27 +287,36 @@ func (te *trialEngine) schedule(rounds int) []bool {
 	return te.sched
 }
 
-// engine returns the worker's machine reset for the trial seed, taking it
-// from coherence's idle pool on first use.
-func (te *trialEngine) engine(o Options, seed int64) (*coherence.Engine, error) {
-	if te.eng != nil {
-		if err := te.eng.Reset(seed); err != nil {
-			return nil, err
+// mount returns the worker's machine reset for the trial seed and the
+// driver armed on it, taking the engine from coherence's idle pool and
+// mounting the driver on first use.
+func (te *trialEngine) mount(o Options, params attack.Params, seed int64) (*coherence.Engine, attack.Driver, error) {
+	if te.eng == nil {
+		e, err := coherence.Acquire(o.Config.WithSeed(seed))
+		if err != nil {
+			return nil, nil, err
 		}
-		return te.eng, nil
+		te.eng = e
+	} else if err := te.eng.Reset(seed); err != nil {
+		return nil, nil, err
 	}
-	e, err := coherence.Acquire(o.Config.WithSeed(seed))
+	if te.drv != nil {
+		te.drv.Rearm()
+		return te.eng, te.drv, nil
+	}
+	d, err := o.Strategy.NewDriver(te.eng, params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	te.eng = e
-	return e, nil
+	te.drv = d
+	return te.eng, d, nil
 }
 
-// close returns the engine to the idle pool and drops the schedule buffer.
+// close returns the engine to the idle pool and drops the driver and the
+// schedule buffer.
 func (te *trialEngine) close() {
 	coherence.Release(te.eng)
-	te.eng, te.sched = nil, nil
+	te.eng, te.drv, te.sched = nil, nil, nil
 }
 
 // mean returns the arithmetic mean of x (0 for an empty slice).

@@ -111,6 +111,39 @@ func TestSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestMonitorEvictionLines checks that the monitor strategy sizes its
+// eviction set from Options.EvictionLines like the other targeted attacks:
+// the cell's access count must follow the override, and the default must
+// stay 32 lines. An 8-line set cannot fill a 23-entry directory set, so it
+// no longer evicts in every window and the idle mean leaves zero.
+func TestMonitorEvictionLines(t *testing.T) {
+	o := testOptions(t, "skylake-unfixed", "monitor")
+	o.Trials, o.Rounds, o.Seed = 20, 8, 3
+	accesses := map[int]uint64{}
+	var small Verdict
+	for _, lines := range []int{0, 8, 32, 64} {
+		o.EvictionLines = lines
+		v, err := Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accesses[lines] = v.Accesses
+		if lines == 8 {
+			small = v
+		}
+	}
+	if accesses[0] != accesses[32] {
+		t.Errorf("default monitor cell made %d accesses, the 32-line one %d", accesses[0], accesses[32])
+	}
+	if accesses[8] >= accesses[32] || accesses[32] >= accesses[64] {
+		t.Errorf("monitor accesses do not grow with the eviction set: 8 lines %d, 32 lines %d, 64 lines %d",
+			accesses[8], accesses[32], accesses[64])
+	}
+	if small.IdleMean == 0 {
+		t.Errorf("an 8-line monitor evicted in every idle window: %s", small)
+	}
+}
+
 // TestCancellation checks the trial runner honors context cancellation
 // instead of finishing the full Monte-Carlo run.
 func TestCancellation(t *testing.T) {

@@ -30,7 +30,10 @@ type Strategy interface {
 	// DefaultLines is the conflict-set size used when the caller does not
 	// override it (FloodReload's flood is far larger than a targeted set).
 	DefaultLines() int
-	// NewDriver mounts the attack against a fresh engine.
+	// NewDriver mounts the attack on e, which is freshly built or just
+	// Reset. The trial runner mounts once per worker and engine, and
+	// before each later trial resets the engine and calls the driver's
+	// Rearm.
 	NewDriver(e *coherence.Engine, p attack.Params) (attack.Driver, error)
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strings"
 	"testing"
@@ -73,18 +75,34 @@ func ledgerSeed(f *testing.F) ([]byte, map[string][]byte) {
 // AttachStore and VerifyChain. Each must restore, or refuse with an error
 // naming a record; none may panic; a ledger VerifyChain accepts must also
 // open and replay, and must re-encode to its own bytes.
+//
+// The fuzzed ledger is a splice into the valid seed ledger: bytes
+// [at, at+cut) are replaced by patch (at and cut are clamped to the seed),
+// so any byte string is reachable (at 0, cut the whole seed) while the
+// fuzzer's input stays a few bytes. Go's fuzzer minimises every input that
+// reaches new coverage, at a cost quadratic in its length and capped at a
+// minute per input, so a raw multi-KB ledger as the input would keep the
+// workers minimising instead of fuzzing.
 func FuzzLedgerReplay(f *testing.F) {
 	valid, artifacts := ledgerSeed(f)
-	f.Add(valid)
-	f.Add(append(bytes.Clone(valid), `{"index":5,"kind":"job","job_`...)) // torn tail
-	flipped := bytes.Clone(valid)
-	flipped[len(flipped)/2] ^= 0x01
-	f.Add(flipped)
-	f.Add(bytes.Replace(valid, []byte(`{"index":0,`), []byte(`{"index":0,"bogus":1,`), 1)) // unknown field
-	f.Add(bytes.Replace(valid, []byte("}\n"), []byte("} {\"junk\":1}\n"), 1))              // bytes after the value
-	f.Add(bytes.Replace(valid, []byte(`":`), []byte(`": `), 1))                            // re-spaced key
+	if len(valid) > math.MaxUint16 {
+		f.Fatalf("seed ledger is %d bytes, more than a uint16 offset reaches", len(valid))
+	}
+	f.Add(uint16(0), uint16(0), []byte(nil))                                      // the valid ledger
+	f.Add(uint16(len(valid)), uint16(0), []byte(`{"index":5,"kind":"job","job_`)) // torn tail
+	mid := len(valid) / 2
+	f.Add(uint16(mid), uint16(1), []byte{valid[mid] ^ 0x01}) // one flipped bit
+	at := bytes.Index(valid, []byte(`{"index":0,`)) + len(`{"index":0,`)
+	f.Add(uint16(at), uint16(0), []byte(`"bogus":1,`)) // unknown field
+	at = bytes.Index(valid, []byte("}\n")) + 1
+	f.Add(uint16(at), uint16(0), []byte(` {"junk":1}`)) // bytes after the value
+	at = bytes.Index(valid, []byte(`":`)) + 2
+	f.Add(uint16(at), uint16(0), []byte(" ")) // re-spaced key
 
-	f.Fuzz(func(t *testing.T, ledger []byte) {
+	f.Fuzz(func(t *testing.T, at, cut uint16, patch []byte) {
+		start := min(int(at), len(valid))
+		end := min(start+int(cut), len(valid))
+		ledger := append(append(append([]byte(nil), valid[:start]...), patch...), valid[end:]...)
 		isValid := bytes.Equal(ledger, valid)
 		b := store.NewMem()
 		for dig, data := range artifacts {
@@ -156,17 +174,19 @@ func FuzzLedgerReplay(f *testing.F) {
 			t.Fatalf("valid ledger replayed as %+v, want 2 restored and queued job-3 held back by the drain", rc)
 		}
 		// Every replayed job answers its status; a done one, its result.
+		// Open and AttachStore do not verify the chain, so a replayed ID
+		// may hold any character: it goes into the path escaped.
 		srv.mu.Lock()
 		ids := append([]string(nil), srv.order...)
 		srv.mu.Unlock()
 		for _, id := range ids {
-			code, body := serve(srv, "/jobs/"+id)
+			code, body := serve(srv, "/jobs/"+url.PathEscape(id))
 			var js JobStatus
 			if err := json.Unmarshal(body, &js); code != http.StatusOK || err != nil || js.ID != id {
 				t.Fatalf("status of replayed %s: HTTP %d %s (%v)", id, code, body, err)
 			}
 			if js.State == StateDone {
-				if code, body := serve(srv, "/jobs/"+id+"/result"); code != http.StatusOK {
+				if code, body := serve(srv, "/jobs/"+url.PathEscape(id)+"/result"); code != http.StatusOK {
 					t.Fatalf("result of replayed done %s: HTTP %d %s", id, code, body)
 				}
 			}
