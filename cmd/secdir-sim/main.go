@@ -135,8 +135,8 @@ func main() {
 
 // runCompare runs the workload on the baseline and SecDir machines and
 // prints a side-by-side delta summary. A non-nil registry is shared by both
-// runs: counters aggregate and occupancy gauges reflect the last (SecDir)
-// engine.
+// runs: counters aggregate, and each run's Close sets the occupancy gauges,
+// so they hold the last (SecDir) machine's.
 func runCompare(workload string, cores int, seed int64, warmup, measure uint64, reg *metrics.Registry) error {
 	type outcome struct {
 		ipc           float64

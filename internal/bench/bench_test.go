@@ -2,10 +2,10 @@
 // the coherence engine on every leaderboard design, the per-trial engine
 // Reset, the SecDir slice Miss path, cuckoo VD insert/remove and the cache
 // replacement policies — of one leakage trial per attack strategy, of the
-// whole-machine invariant audit and of one short simulation on a pooled
-// machine, plus TestHotPathAllocFree, which pins the invariant the hot
-// paths and the trial loop guard: after warmup, each of them performs zero
-// heap allocations per operation.
+// whole-machine invariant audit, of one short simulation on a pooled
+// machine and of one small server job per kind, plus TestHotPathAllocFree,
+// which pins the invariant the hot paths and the trial loop guard: after
+// warmup, each of them performs zero heap allocations per operation.
 //
 // End-to-end and per-layer timings live in perfbench/; run these with
 //
@@ -24,7 +24,9 @@ import (
 	"secdir/internal/core"
 	"secdir/internal/cuckoo"
 	"secdir/internal/leakage"
+	"secdir/internal/metrics"
 	"secdir/internal/rng"
+	"secdir/internal/server"
 	"secdir/internal/sim"
 	"secdir/internal/trace"
 )
@@ -313,6 +315,38 @@ func simRun(b *testing.B, cfg config.Config) {
 func BenchmarkSimRun(b *testing.B) {
 	for _, d := range engineDesigns() {
 		b.Run(d.name, func(b *testing.B) { simRun(b, d.cfg) })
+	}
+}
+
+// jobRun is one job as a server worker runs it: server.Run with a fresh
+// registry, as runJob gives every job. One job runs first to warm the
+// engine pool, so the loop measures jobs on reused machines.
+func jobRun(b *testing.B, spec server.JobSpec) {
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		if _, err := server.Run(context.Background(), spec, metrics.New(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// BenchmarkJob times one small job of each simulating kind: a SPEC mix 2
+// replay on SecDir, the attack suite on both designs and the S1 experiment.
+func BenchmarkJob(b *testing.B) {
+	for _, spec := range []server.JobSpec{
+		{Kind: server.KindReplay, Design: "secdir", Workload: "mix2", Warmup: 2000, Measure: 2000},
+		{Kind: server.KindAttack, Design: "both", Rounds: 6},
+		{Kind: server.KindExperiment, Experiments: []string{"S1"}},
+	} {
+		b.Run(string(spec.Kind), func(b *testing.B) { jobRun(b, spec) })
 	}
 }
 

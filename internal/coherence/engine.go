@@ -117,10 +117,6 @@ type Engine struct {
 	stats Stats
 	log   *eventLog
 	mx    *engineMetrics
-	// metered is set once a metrics registry has been attached. The
-	// registry's gauges keep reading this engine even after a detach, so
-	// Release never pools it.
-	metered bool
 
 	// flushScratch is FlushCore's reusable line buffer, sized to the largest
 	// L2 occupancy flushed so far.

@@ -140,11 +140,40 @@ func TestLazySliceGetsAttachedMetrics(t *testing.T) {
 		build(e)
 		e.AttachMetrics(reg)
 		replayBursts(e, seededBursts(cfg.Cores))
+		e.foldOccupancy(reg)
 		return reg.Snapshot()
 	}
 	eager := snap(func(e *Engine) { eagerEngine(t, e) })
 	lazy := snap(func(*Engine) {})
 	if !reflect.DeepEqual(lazy, eager) {
 		t.Fatalf("metrics diverged:\neager %+v\nlazy  %+v", eager, lazy)
+	}
+}
+
+// TestDetachStopsSliceMetrics is the complement: once AttachMetrics(nil)
+// detaches the engine, no built slice writes into the old registry any
+// more, though the machine goes on relocating entries into its VDs.
+func TestDetachStopsSliceMetrics(t *testing.T) {
+	cfg := smallConfig(config.SecDir)
+	e := newEngine(t, cfg)
+	reg := metrics.New()
+	e.AttachMetrics(reg)
+	bursts := seededBursts(cfg.Cores)
+	replayBursts(e, bursts)
+	before := reg.Snapshot()
+	if before.Counters["dir/td_to_vd"] == 0 || before.Histograms["vd/reloc_depth"].N == 0 {
+		t.Fatal("the workload relocated nothing into the VDs")
+	}
+
+	e.AttachMetrics(nil)
+	if err := e.Reset(3); err != nil {
+		t.Fatal(err)
+	}
+	replayBursts(e, bursts)
+	if e.DirStats().TDToVD == 0 {
+		t.Fatal("the detached run relocated nothing into the VDs")
+	}
+	if after := reg.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the detached engine still wrote into the registry:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 
-	"secdir/internal/core"
 	"secdir/internal/directory"
 	"secdir/internal/metrics"
 )
@@ -35,11 +34,16 @@ type engineMetrics struct {
 
 // AttachMetrics registers the engine's instruments in the registry and
 // attaches the directory slices' own instruments (SecDir slices add the VD
-// relocation-depth histogram and Empty-Bit counters). Occupancy is exported
-// as gauge functions evaluated at snapshot time, so the hot path never pays
-// for it. Attaching a nil registry detaches metrics, but the gauges stay
-// registered, so Release never pools an engine that has had a registry.
+// relocation-depth histogram and Empty-Bit counters). Attaching a nil
+// registry detaches the engine and every built slice, so nothing is written
+// to the old registry any more. Occupancy costs the hot path nothing:
+// Release folds it into the registry's dir/* gauges (see foldOccupancy).
 func (e *Engine) AttachMetrics(r *metrics.Registry) {
+	for _, s := range e.secSlices {
+		if s != nil {
+			s.AttachMetrics(r)
+		}
+	}
 	if r == nil {
 		e.mx = nil
 		return
@@ -59,21 +63,18 @@ func (e *Engine) AttachMetrics(r *metrics.Registry) {
 	mx.writebacks = r.Counter("engine/mem_writebacks")
 	mx.noFills = r.Counter("engine/no_fills")
 	e.mx = mx
-	e.metered = true
+}
 
-	// Directory occupancy: TD/ED/VD entry counts and fill fractions.
-	r.GaugeFunc("dir/ed_entries", func() float64 { return float64(e.OccupancySnapshot().EDEntries) })
-	r.GaugeFunc("dir/ed_fill", func() float64 { return e.OccupancySnapshot().EDFill() })
-	r.GaugeFunc("dir/td_entries", func() float64 { return float64(e.OccupancySnapshot().TDEntries) })
-	r.GaugeFunc("dir/td_fill", func() float64 { return e.OccupancySnapshot().TDFill() })
-	r.GaugeFunc("dir/vd_entries", func() float64 { return float64(e.OccupancySnapshot().VDEntries) })
-	r.GaugeFunc("dir/vd_fill", func() float64 { return e.OccupancySnapshot().VDFill() })
-
-	for _, sl := range e.slices {
-		if s, ok := sl.(*core.Slice); ok {
-			s.AttachMetrics(r)
-		}
-	}
+// foldOccupancy sets the registry's directory occupancy gauges — TD/ED/VD
+// entry counts and fill fractions — to the machine's current state.
+func (e *Engine) foldOccupancy(r *metrics.Registry) {
+	o := e.OccupancySnapshot()
+	r.Gauge("dir/ed_entries").Set(float64(o.EDEntries))
+	r.Gauge("dir/ed_fill").Set(o.EDFill())
+	r.Gauge("dir/td_entries").Set(float64(o.TDEntries))
+	r.Gauge("dir/td_fill").Set(o.TDFill())
+	r.Gauge("dir/vd_entries").Set(float64(o.VDEntries))
+	r.Gauge("dir/vd_fill").Set(o.VDFill())
 }
 
 // Metrics returns the attached registry, or nil when metrics are disabled.

@@ -49,13 +49,21 @@ func Acquire(cfg config.Config) (*Engine, error) {
 
 // Release returns an engine to the idle pool, evicting the least recently
 // released one when the pool is full. The caller must not touch the engine
-// afterwards. An engine that ever had a metrics registry attached, or that
-// has an event log, is left to the garbage collector instead: the
-// registry's gauge functions close over the engine, so pooling it would let
-// a metrics snapshot read a machine another run is driving. Release(nil)
-// does nothing.
+// afterwards. Every run's machine ends here: an engine with a metrics
+// registry attached first sets the registry's dir/* occupancy gauges from
+// its final state and is detached, so a later run on it writes nothing into
+// that registry. An engine with an event log is then left to the garbage
+// collector, since its log would go on recording the next run's accesses.
+// Release(nil) does nothing.
 func Release(e *Engine) {
-	if e == nil || e.metered || e.log != nil {
+	if e == nil {
+		return
+	}
+	if r := e.Metrics(); r != nil {
+		e.foldOccupancy(r)
+		e.AttachMetrics(nil)
+	}
+	if e.log != nil {
 		return
 	}
 	idle.mu.Lock()

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -84,33 +85,73 @@ func TestEnginePoolBound(t *testing.T) {
 	}
 }
 
-// TestEnginePoolRefusesObserved: an engine that has had a metrics registry
-// (whose gauges close over it, even after a detach) or has an event log is
-// never pooled. Release(nil) is a no-op.
+// TestEnginePoolTakesInstrumented: an engine released after an
+// instrumented run is pooled. Release sets the registry's dir/* gauges from
+// the machine's final occupancy, and a later run without metrics on the
+// same engine writes nothing into that registry.
+func TestEnginePoolTakesInstrumented(t *testing.T) {
+	DropIdleEngines()
+	defer DropIdleEngines()
+	cfg := smallConfig(config.SecDir)
+	e, err := Acquire(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	e.AttachMetrics(reg)
+	bursts := seededBursts(cfg.Cores)
+	replayBursts(e, bursts)
+	occ := e.OccupancySnapshot()
+	Release(e)
+	if n := IdleEngines(); n != 1 {
+		t.Fatalf("the pool holds %d engines after an instrumented run, want 1", n)
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["dir/td_to_vd"] == 0 {
+		t.Fatal("the instrumented run relocated nothing into the VDs")
+	}
+	want := map[string]float64{
+		"dir/ed_entries": float64(occ.EDEntries), "dir/ed_fill": occ.EDFill(),
+		"dir/td_entries": float64(occ.TDEntries), "dir/td_fill": occ.TDFill(),
+		"dir/vd_entries": float64(occ.VDEntries), "dir/vd_fill": occ.VDFill(),
+	}
+	if !reflect.DeepEqual(snap.Gauges, want) {
+		t.Fatalf("gauges after Release = %v, want the final occupancy %v", snap.Gauges, want)
+	}
+
+	again, err := Acquire(cfg.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != e {
+		t.Fatal("the next run did not reuse the instrumented engine")
+	}
+	replayBursts(again, bursts)
+	Release(again)
+	if got := reg.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Fatalf("a run without metrics wrote into the earlier run's registry:\nbefore %+v\nafter  %+v", snap, got)
+	}
+}
+
+// TestEnginePoolRefusesObserved: an engine with an event log is never
+// pooled, though Release still folds its occupancy into its registry.
+// Release(nil) is a no-op.
 func TestEnginePoolRefusesObserved(t *testing.T) {
 	DropIdleEngines()
 	defer DropIdleEngines()
-	cases := []struct {
-		name    string
-		observe func(e *Engine)
-	}{
-		{"metrics", func(e *Engine) { e.AttachMetrics(metrics.New()) }},
-		{"metrics-detached", func(e *Engine) {
-			e.AttachMetrics(metrics.New())
-			e.AttachMetrics(nil)
-		}},
-		{"event-log", func(e *Engine) { e.EnableEventLog(16) }},
+	e, err := NewEngine(smallConfig(config.SecDir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		e, err := NewEngine(smallConfig(config.SecDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.observe(e)
-		Release(e)
-		if n := IdleEngines(); n != 0 {
-			t.Fatalf("%s: the pool took an observed engine (%d idle)", tc.name, n)
-		}
+	reg := metrics.New()
+	e.AttachMetrics(reg)
+	e.EnableEventLog(16)
+	Release(e)
+	if n := IdleEngines(); n != 0 {
+		t.Fatalf("the pool took an engine with an event log (%d idle)", n)
+	}
+	if _, ok := reg.Snapshot().Gauges["dir/vd_fill"]; !ok {
+		t.Fatal("Release refused the engine without folding its occupancy gauges")
 	}
 	Release(nil)
 	if n := IdleEngines(); n != 0 {

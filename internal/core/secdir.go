@@ -97,8 +97,8 @@ func New(p Params) *Slice {
 // "vd/reloc_depth" (cuckoo relocation-chain depth per VD insertion),
 // "vd/eb_churn" (Empty-Bit set transitions), "vd/eb_filtered" /
 // "vd/lookups" (bank probes skipped by / surviving the EB filter), and the
-// "dir/td_to_vd" / "dir/vd_drop" migration counters. A nil registry detaches
-// nothing and costs nothing.
+// "dir/td_to_vd" / "dir/vd_drop" migration counters. A nil registry hands
+// out nil handles, which record nothing, so it detaches the slice.
 func (s *Slice) AttachMetrics(r *metrics.Registry) {
 	s.mxEBFiltered = r.Counter("vd/eb_filtered")
 	s.mxVDProbes = r.Counter("vd/lookups")

@@ -92,22 +92,24 @@ func Alternatives(ctx context.Context, o RunOpts) ([]ALTRow, error) {
 		}
 
 		// Security leg.
-		e, err := coherence.NewEngine(cfg)
+		e, err := coherence.Acquire(cfg)
 		if err != nil {
 			return nil, err
 		}
 		er, err := attack.EvictReload(e, 0, attackers, target, 40, 32)
+		coherence.Release(e)
 		if err != nil {
 			return nil, err
 		}
 		row.AttackAccuracy = er.Accuracy()
 		row.VictimEvictions = er.VictimEvictions
 
-		ef, err := coherence.NewEngine(cfg)
+		ef, err := coherence.Acquire(cfg)
 		if err != nil {
 			return nil, err
 		}
 		fr, err := attack.FloodReload(ef, 0, attackers, target, 10, 48_000)
+		coherence.Release(ef)
 		if err != nil {
 			return nil, err
 		}

@@ -32,10 +32,11 @@ type RunOpts struct {
 	Cores int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Metrics, when non-nil, is attached to every engine the experiments
-	// build; counters aggregate across runs (get-or-create naming). The
-	// registry is goroutine-safe, so parallel experiment fan-out works with
-	// metrics enabled.
+	// Metrics, when non-nil, is attached to every simulation's engine;
+	// counters aggregate across runs (get-or-create naming). The registry is
+	// goroutine-safe, so parallel experiment fan-out works with metrics
+	// enabled; the dir/* occupancy gauges hold whichever engine was
+	// released last.
 	Metrics *metrics.Registry
 	// Workers bounds the experiment fan-out; 0 uses GOMAXPROCS, 1 forces
 	// serial execution. Each simulation is fully independent (separate
@@ -517,15 +518,16 @@ func SecurityAttack(ctx context.Context, o RunOpts) (S1Result, error) {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		e, err := coherence.NewEngine(cfg)
+		e, err := coherence.Acquire(cfg)
 		if err != nil {
 			return out, err
 		}
 		er, err := attack.EvictReload(e, 0, attackers, target, rounds, 32)
+		incl := e.Stats().Core[0].ConflictInvalidations
+		coherence.Release(e)
 		if err != nil {
 			return out, err
 		}
-		incl := e.Stats().Core[0].ConflictInvalidations
 
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -534,11 +536,12 @@ func SecurityAttack(ctx context.Context, o RunOpts) (S1Result, error) {
 		if i == 0 {
 			pcfg = baseFixed
 		}
-		pe, err := coherence.NewEngine(pcfg)
+		pe, err := coherence.Acquire(pcfg)
 		if err != nil {
 			return out, err
 		}
 		pp, err := attack.PrimeProbe(pe, 0, attackers, target, rounds, 32)
+		coherence.Release(pe)
 		if err != nil {
 			return out, err
 		}

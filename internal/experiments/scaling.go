@@ -72,22 +72,24 @@ func Scaling(ctx context.Context, o RunOpts, maxCores int) ([]SCRow, error) {
 		// lines suffices and every added core makes priming easier.
 		baseCfg := config.SkylakeX(n)
 		baseCfg.Seed = o.Seed
-		eb, err := coherence.NewEngine(baseCfg)
+		eb, err := coherence.Acquire(baseCfg)
 		if err != nil {
 			return nil, err
 		}
 		rb, err := attack.EvictReload(eb, 0, attackers, target, rounds, 32)
+		coherence.Release(eb)
 		if err != nil {
 			return nil, err
 		}
 		row.BaselineAccuracy = rb.Accuracy()
 		row.BaselineVictimEvictions = rb.VictimEvictions
 
-		es, err := coherence.NewEngine(secCfg)
+		es, err := coherence.Acquire(secCfg)
 		if err != nil {
 			return nil, err
 		}
 		rs, err := attack.EvictReload(es, 0, attackers, target, rounds, 32)
+		coherence.Release(es)
 		if err != nil {
 			return nil, err
 		}

@@ -101,15 +101,16 @@ func PerfCost(name string, cores, perfAccesses int) (simNs, storageKB, areaMM2 f
 }
 
 // measureSimNs runs the deterministic performance probe: a fixed-seed uniform
-// mixed workload (the bench harness's geometry) over a freshly built engine,
+// mixed workload (the bench harness's geometry) over a pooled engine,
 // reporting the mean simulated access latency in nanoseconds at 2 GHz. The
 // engine's latency model is cycle-deterministic, so the result depends only
 // on the configuration.
 func measureSimNs(cfg config.Config, accesses int) (float64, error) {
-	e, err := coherence.NewEngine(cfg.WithSeed(7))
+	e, err := coherence.Acquire(cfg.WithSeed(7))
 	if err != nil {
 		return 0, err
 	}
+	defer coherence.Release(e)
 	gen := trace.NewUniform(1<<24, 64<<10, 0.25, 0, 7)
 	mask := cfg.Cores - 1
 	for i := 0; i < accesses; i++ { // warm-up: fills and migrations settle

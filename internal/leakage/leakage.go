@@ -340,8 +340,7 @@ func verdict(o Options, active, idle []float64, accesses uint64) Verdict {
 	if math.IsInf(t, -1) || t < -tCap {
 		t = -tCap
 	}
-	auc := stats.AUC(active, idle)
-	lo, hi := stats.BootstrapAUC(active, idle, o.Resamples, o.Confidence, o.Seed+1)
+	auc, lo, hi := stats.BootstrapAUC(active, idle, o.Resamples, o.Confidence, o.Seed+1)
 	return Verdict{
 		Config:       o.ConfigName,
 		Strategy:     o.Strategy.Name(),

@@ -25,12 +25,10 @@
 // and Series is safe for concurrent use. Snapshot() may be called at any
 // time; it reads each instrument atomically (per instrument — the snapshot
 // as a whole is not a single atomic cut across instruments, which is fine
-// for monotone counters). The one exception is GaugeFunc callbacks: the
-// registry serializes their registration, but it evaluates them at snapshot
-// time, so a callback that reads non-thread-safe simulator state (engine
-// occupancy) must only be snapshotted while that simulator is quiescent.
-// Long-lived servers should attach engines to short-lived child registries
-// and merge the final snapshots instead (see Snapshot.Merge).
+// for monotone counters). GaugeFunc callbacks run inside Snapshot, on the
+// snapshotting goroutine, so each must be safe for concurrent use itself;
+// simulator state that is not (engine occupancy) is published with plain
+// gauges set once the simulator is done with it.
 package metrics
 
 import (
@@ -293,12 +291,12 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // GaugeFunc registers a callback evaluated at snapshot time — the right shape
-// for occupancy-style metrics whose current value is derivable from simulator
-// state at no hot-path cost. Re-registering a name replaces the callback
-// (the most recently attached engine wins). No-op on a nil registry.
+// for a value derivable from thread-safe state, such as a queue depth, that
+// costs nothing until it is read. Re-registering a name replaces the
+// callback. No-op on a nil registry.
 //
-// The callback itself runs outside the registry's locks; see the package
-// comment for the quiescence requirement on non-thread-safe callbacks.
+// The callback runs outside the registry's locks, whenever any goroutine
+// snapshots the registry, so it must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return

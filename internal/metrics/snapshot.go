@@ -254,8 +254,7 @@ func (s HistogramSnapshot) Add(other HistogramSnapshot) HistogramSnapshot {
 // Merge returns the union snapshot s + other: counters and histograms add,
 // gauges and series take other's value when present (last writer wins, like
 // the live instruments). Neither input is modified. Merge is how a server
-// folds completed per-job child registries into one cumulative view (see the
-// package comment on GaugeFunc for why engines attach to child registries).
+// folds completed per-job child registries into one cumulative view.
 func (s Snapshot) Merge(other Snapshot) Snapshot {
 	var d Snapshot
 	if len(s.Counters)+len(other.Counters) > 0 {

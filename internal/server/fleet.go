@@ -97,9 +97,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Engine instruments go to a private registry, folded into the
-	// cumulative snapshot once the shard's engines are quiescent — the same
-	// isolation runJob gives job engines.
+	// The shard records into a registry of its own, folded into the
+	// cumulative snapshot once the shard ends — the same per-job cut
+	// runJob gives each job.
 	shardReg := metrics.New()
 	opts.Metrics = shardReg
 	_, err = leakage.RunShard(r.Context(), opts, req.Start, req.Count, emit)

@@ -73,7 +73,7 @@ func RunAttackSuite(ctx context.Context, design string, cfg config.Config, reg *
 	// engine: the victim's private lines lost to directory conflicts.
 	victims := func(e *coherence.Engine) uint64 { return e.Stats().Core[0].ConflictInvalidations }
 
-	// Each stage attacks a fresh machine.
+	// Each stage attacks a machine freshly reset from the idle pool.
 	stages := []struct {
 		name string
 		run  func(e *coherence.Engine) error
@@ -118,12 +118,14 @@ func RunAttackSuite(ctx context.Context, design string, cfg config.Config, reg *
 		if err := ctx.Err(); err != nil {
 			return report, err
 		}
-		e, err := coherence.NewEngine(cfg)
+		e, err := coherence.Acquire(cfg)
 		if err != nil {
 			return report, err
 		}
 		e.AttachMetrics(reg)
-		if err := st.run(e); err != nil {
+		err = st.run(e)
+		coherence.Release(e)
+		if err != nil {
 			return report, err
 		}
 		if progress != nil {

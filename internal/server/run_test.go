@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
+	"secdir/internal/coherence"
 	"secdir/internal/fleet"
 	"secdir/internal/leakage"
+	"secdir/internal/metrics"
 )
 
 // runSpec normalizes spec and runs it in-process through Run.
@@ -41,6 +44,47 @@ func TestAttackJobReportPinned(t *testing.T) {
 		`"key_nibbles_total":4,"encryptions":3072,"inclusion_victims":0}]`
 	if string(got) != want {
 		t.Errorf("attack job report drifted:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestJobMetricsPooledMatchCold runs a replay job and an attack job twice
+// each through Run with a fresh registry: first on a cold engine pool, then
+// on the engines the first run released. The two snapshots match exactly —
+// counters, histograms, the IPC series and the dir/* occupancy gauges that
+// Release folds — so pooling an instrumented machine cannot change what a job
+// reports.
+func TestJobMetricsPooledMatchCold(t *testing.T) {
+	defer coherence.DropIdleEngines()
+	for _, spec := range []JobSpec{
+		{Kind: KindReplay, Design: "secdir", Workload: "mix2", Warmup: 2000, Measure: 2000},
+		{Kind: KindAttack, Design: "both", Rounds: 6},
+	} {
+		t.Run(string(spec.Kind), func(t *testing.T) {
+			if err := spec.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			run := func() metrics.Snapshot {
+				reg := metrics.New()
+				if _, err := Run(context.Background(), spec, reg, nil); err != nil {
+					t.Fatal(err)
+				}
+				return reg.Snapshot()
+			}
+			coherence.DropIdleEngines()
+			cold := run()
+			if coherence.IdleEngines() == 0 {
+				t.Fatal("the job released no engine to the pool")
+			}
+			pooled := run()
+			for _, g := range []string{"dir/ed_fill", "dir/td_fill", "dir/vd_fill"} {
+				if _, ok := cold.Gauges[g]; !ok {
+					t.Fatalf("the job's snapshot has no %s gauge", g)
+				}
+			}
+			if !reflect.DeepEqual(pooled, cold) {
+				t.Fatalf("the pooled run's metrics differ from the cold run's:\ncold   %+v\npooled %+v", cold, pooled)
+			}
+		})
 	}
 }
 

@@ -22,11 +22,11 @@ import (
 //
 // Metrics strategy: the server's own instruments (queue depth, job counts,
 // durations) live in the shared registry passed to New, which is
-// goroutine-safe. Each job's engines register in a private per-job child
-// registry instead, because engine gauge functions read non-thread-safe
-// engine state; when the job finishes the child's snapshot is folded into a
-// cumulative snapshot under the server's lock, and /metricz serves the merge
-// of the two (see the metrics package doc).
+// goroutine-safe. Each job's engines register in a per-job child registry
+// instead, so a job's IPC series and occupancy gauges are not interleaved
+// with those of concurrent jobs; when the job finishes the child's snapshot
+// is folded into a cumulative snapshot under the server's lock, and /metricz
+// serves the merge of the two.
 type Server struct {
 	cfg config.ServerConfig
 	reg *metrics.Registry
@@ -212,10 +212,9 @@ func (s *Server) runJob(j *Job) {
 		defer cancel()
 	}
 
-	// Engines must not register in the shared registry: their gauge
-	// functions read live engine state, which is only safe to evaluate when
-	// the engine is quiescent. A private child registry keeps /metricz
-	// race-free while the job runs.
+	// The job records into a child registry of its own, so its IPC series
+	// and dir/* gauges are its cut alone, not interleaved with those of
+	// jobs running beside it.
 	jobReg := metrics.New()
 	start := time.Now()
 	var result any
@@ -247,8 +246,8 @@ func (s *Server) runJob(j *Job) {
 		state = StateFailed
 		s.failed.Inc()
 	}
-	// The job's engines are quiescent now; fold their counters into the
-	// cumulative simulation snapshot before the state is published, so a
+	// The job's engines are released and their gauges folded; merge the job
+	// into the cumulative snapshot before the state is published, so a
 	// client that sees the job finished also finds its counters on /metricz.
 	snap := jobReg.Snapshot()
 	s.mu.Lock()

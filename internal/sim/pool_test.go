@@ -129,8 +129,9 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 }
 
 // TestCloseReleasesOnce: Close hands the engine to the pool once and sets
-// r.Engine to nil, so a second Close is a no-op. A runner with metrics gets
-// a private engine that Close never pools.
+// r.Engine to nil, so a second Close is a no-op. A runner with metrics
+// takes its engine from the pool and hands it back the same way, with the
+// registry's occupancy gauges set.
 func TestCloseReleasesOnce(t *testing.T) {
 	coherence.DropIdleEngines()
 	defer coherence.DropIdleEngines()
@@ -138,6 +139,7 @@ func TestCloseReleasesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	used := r.Engine
 	r.Run()
 	r.Close()
 	if r.Engine != nil {
@@ -148,15 +150,21 @@ func TestCloseReleasesOnce(t *testing.T) {
 		t.Fatalf("pool holds %d engines after two Closes, want 1", n)
 	}
 
-	coherence.DropIdleEngines()
-	r, err = New(Options{Config: smallCfg(), Work: uniformWork(4, 1), MeasureAccesses: 500, Metrics: metrics.New()})
+	reg := metrics.New()
+	r, err = New(Options{Config: smallCfg(), Work: uniformWork(4, 1), MeasureAccesses: 500, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if r.Engine != used {
+		t.Fatal("a runner with metrics did not take the idle engine")
+	}
 	r.Run()
 	r.Close()
-	if n := coherence.IdleEngines(); n != 0 {
-		t.Fatalf("a runner with metrics pooled its engine (%d idle)", n)
+	if n := coherence.IdleEngines(); n != 1 {
+		t.Fatalf("a runner with metrics left %d engines idle, want 1", n)
+	}
+	if _, ok := reg.Snapshot().Gauges["dir/td_fill"]; !ok {
+		t.Fatal("Close did not fold the machine's occupancy into the registry")
 	}
 }
 

@@ -30,10 +30,10 @@ type Options struct {
 	MeasureAccesses uint64
 	// Observer, if non-nil, sees every measured access.
 	Observer Observer
-	// Metrics, if non-nil, is attached to the engine before the run and
-	// additionally receives a per-core IPC time series ("sim/ipc/core<N>",
-	// x = local cycle, y = cumulative measured IPC) sampled every
-	// IPCSampleEvery accesses during the measured phase.
+	// Metrics, if non-nil, is attached to the engine for the run, gets its
+	// dir/* occupancy gauges at Close, and receives a per-core IPC time series
+	// ("sim/ipc/core<N>", x = local cycle, y = cumulative measured IPC)
+	// sampled every IPCSampleEvery accesses during the measured phase.
 	Metrics *metrics.Registry
 	// IPCSampleEvery overrides the IPC sampling interval in accesses
 	// (default 1024). Ignored when Metrics is nil.
@@ -106,33 +106,25 @@ type Runner struct {
 	opts   Options
 }
 
-// New binds the workload to a machine. Without Options.Metrics the machine
-// comes from coherence's idle pool (reset, and bit-identical to a fresh
-// build); with Metrics it is built privately, since the registry's gauges
-// keep reading it and it must never be pooled.
+// New binds the workload to a machine from coherence's idle pool (reset,
+// and bit-identical to a fresh build), attaching Options.Metrics to it.
 func New(opts Options) (*Runner, error) {
 	if opts.Work.Cores() != opts.Config.Cores {
 		return nil, fmt.Errorf("sim: workload drives %d cores, machine has %d", opts.Work.Cores(), opts.Config.Cores)
 	}
-	build := coherence.Acquire
-	if opts.Metrics != nil {
-		build = coherence.NewEngine
-	}
-	e, err := build(opts.Config)
+	e, err := coherence.Acquire(opts.Config)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Metrics != nil {
-		e.AttachMetrics(opts.Metrics)
-	}
+	e.AttachMetrics(opts.Metrics)
 	return &Runner{Engine: e, opts: opts}, nil
 }
 
-// Close releases the runner's engine to coherence's idle pool (an engine
-// with metrics attached is left to the garbage collector instead) and sets
-// r.Engine to nil, so the next run may reuse the machine. Read the run's
-// results and audit r.Engine before Close; the runner cannot run again
-// afterwards. A second Close is a no-op.
+// Close releases the runner's engine to coherence's idle pool, which sets
+// Options.Metrics' dir/* gauges and detaches it, and sets r.Engine to nil.
+// Read the run's results and audit r.Engine before Close, and snapshot the
+// registry after it; the runner cannot run again afterwards. A second Close
+// is a no-op.
 func (r *Runner) Close() {
 	coherence.Release(r.Engine)
 	r.Engine = nil

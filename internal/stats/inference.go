@@ -146,36 +146,32 @@ func AUC(pos, neg []float64) float64 {
 	if len(pos) == 0 || len(neg) == 0 {
 		return 0.5
 	}
-	groups, ng := tieGroups(pos, neg)
-	cntP := make([]int, ng)
-	cntN := make([]int, ng)
-	for _, g := range groups[:len(pos)] {
-		cntP[g]++
-	}
-	for _, g := range groups[len(pos):] {
-		cntN[g]++
-	}
+	_, cntP, cntN := tieGroups(pos, neg)
 	return rankAUC(cntP, cntN, len(pos), len(neg))
 }
 
-// BootstrapAUC returns the percentile-bootstrap confidence interval of
-// AUC(a, b) at the given confidence level (e.g. 0.99): resamples replicates,
-// each drawing len(a) observations from a and then len(b) from b with
-// replacement from rng.New(seed), and the (1-conf)/2 and 1-(1-conf)/2
-// empirical quantiles of the replicate AUCs.
+// BootstrapAUC returns auc = AUC(a, b) and its percentile-bootstrap
+// confidence interval at the given confidence level (e.g. 0.99): resamples
+// replicates, each drawing len(a) observations from a and then len(b) from
+// b with replacement from rng.New(seed), and the (1-conf)/2 and
+// 1-(1-conf)/2 empirical quantiles of the replicate AUCs. With an empty
+// sample or no resamples the interval is [0, 0].
 //
-// The pooled sample is sorted once. A draw only bumps its observation's tie
-// group count, and a replicate's rank sum is one pass over the groups, so a
-// replicate costs O(len(a)+len(b)+groups) and allocates nothing. Every
-// replicate equals AUC of the resampled slices bit for bit: see rankAUC.
-func BootstrapAUC(a, b []float64, resamples int, conf float64, seed int64) (lo, hi float64) {
-	if len(a) == 0 || len(b) == 0 || resamples < 1 {
-		return 0, 0
+// The pooled sample is sorted once, for the point and every replicate. A
+// draw only bumps its observation's tie group count, and a replicate's rank
+// sum is one pass over the groups, so a replicate costs
+// O(len(a)+len(b)+groups) and allocates nothing. The point and every
+// replicate equal AUC of the (resampled) slices bit for bit: see rankAUC.
+func BootstrapAUC(a, b []float64, resamples int, conf float64, seed int64) (auc, lo, hi float64) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0.5, 0, 0
 	}
-	groups, ng := tieGroups(a, b)
+	groups, cntA, cntB := tieGroups(a, b)
 	ga, gb := groups[:len(a)], groups[len(a):]
-	cntA := make([]int, ng)
-	cntB := make([]int, ng)
+	auc = rankAUC(cntA, cntB, len(a), len(b))
+	if resamples < 1 {
+		return auc, 0, 0
+	}
 	r := rng.New(seed)
 	vals := make([]float64, resamples)
 	for i := range vals {
@@ -189,14 +185,15 @@ func BootstrapAUC(a, b []float64, resamples int, conf float64, seed int64) (lo, 
 		}
 		vals[i] = rankAUC(cntA, cntB, len(a), len(b))
 	}
-	return percentileInterval(vals, conf)
+	lo, hi = percentileInterval(vals, conf)
+	return auc, lo, hi
 }
 
 // tieGroups sorts a ∪ b once and returns, for each observation (a's first,
-// then b's), the index of its tie group in ascending value order, plus the
-// number of groups. Values that compare equal (+0 and -0 included) share a
-// group.
-func tieGroups(a, b []float64) (groups []int, ng int) {
+// then b's), the index of its tie group in ascending value order, plus how
+// many of a's and of b's observations each group holds. Values that compare
+// equal (+0 and -0 included) share a group.
+func tieGroups(a, b []float64) (groups, cntA, cntB []int) {
 	type obs struct {
 		v float64
 		i int
@@ -210,13 +207,21 @@ func tieGroups(a, b []float64) (groups []int, ng int) {
 	}
 	slices.SortFunc(all, func(x, y obs) int { return cmp.Compare(x.v, y.v) })
 	groups = make([]int, len(all))
+	ng := 0
 	for k, o := range all {
 		if k > 0 && o.v != all[k-1].v {
 			ng++
 		}
 		groups[o.i] = ng
 	}
-	return groups, ng + 1
+	cntA, cntB = make([]int, ng+1), make([]int, ng+1)
+	for _, g := range groups[:len(a)] {
+		cntA[g]++
+	}
+	for _, g := range groups[len(a):] {
+		cntB[g]++
+	}
+	return groups, cntA, cntB
 }
 
 // rankAUC returns the AUC of na positives against nb negatives whose tie

@@ -266,22 +266,35 @@ func TestBootstrapCI2(t *testing.T) {
 	}
 }
 
-// TestBootstrapAUC checks the leakage lab's AUC interval: fully separated
-// groups stay at AUC 1 under any resample, and a fixed seed pins the
-// interval.
+// TestBootstrapAUC checks the leakage lab's AUC and its interval: fully
+// separated groups stay at AUC 1 under any resample, a fixed seed pins the
+// interval, and the point is AUC's bit for bit, also where there is no
+// interval (an empty group, no resamples).
 func TestBootstrapAUC(t *testing.T) {
 	act := []float64{5, 6, 7, 8}
 	idl := []float64{1, 2, 3, 4}
-	lo, hi := BootstrapAUC(act, idl, 200, 0.99, 9)
-	if lo != 1 || hi != 1 {
-		t.Errorf("separated groups: AUC interval [%v,%v], want [1,1]", lo, hi)
+	auc, lo, hi := BootstrapAUC(act, idl, 200, 0.99, 9)
+	if auc != 1 || lo != 1 || hi != 1 {
+		t.Errorf("separated groups: AUC %v in [%v,%v], want 1 in [1,1]", auc, lo, hi)
 	}
-	lo2, hi2 := BootstrapAUC(act, idl, 200, 0.99, 9)
+	_, lo2, hi2 := BootstrapAUC(act, idl, 200, 0.99, 9)
 	if lo != lo2 || hi != hi2 {
 		t.Errorf("two-sample bootstrap not deterministic under a fixed seed")
 	}
-	if lo, hi := BootstrapAUC(nil, idl, 200, 0.99, 9); lo != 0 || hi != 0 {
-		t.Errorf("empty group: interval [%v,%v], want [0,0]", lo, hi)
+	for _, tc := range []struct {
+		name      string
+		a, b      []float64
+		resamples int
+	}{
+		{"empty a", nil, idl, 200},
+		{"empty b", act, nil, 200},
+		{"no resamples", act, idl, 0},
+		{"negative resamples", []float64{1, 2, 2}, []float64{2, 3}, -1},
+	} {
+		auc, lo, hi := BootstrapAUC(tc.a, tc.b, tc.resamples, 0.99, 9)
+		if want := AUC(tc.a, tc.b); !sameBits(auc, want) || lo != 0 || hi != 0 {
+			t.Errorf("%s: AUC %v in [%v,%v], want %v in [0,0]", tc.name, auc, lo, hi, want)
+		}
 	}
 }
 
@@ -296,15 +309,25 @@ func checkAUCOracles(t *testing.T, a, b []float64, resamples int, seed int64) {
 		t.Fatalf("AUC(%v, %v) = %v, oracle %v", a, b, got, want)
 	}
 	for _, conf := range []float64{0.5, 0.9, 0.99} {
-		lo, hi := BootstrapAUC(a, b, resamples, conf, seed)
+		auc, lo, hi := BootstrapAUC(a, b, resamples, conf, seed)
 		wlo, whi := bootstrapCI2(a, b, aucBySort, resamples, conf, seed)
-		if !sameBits(lo, wlo) || !sameBits(hi, whi) {
-			t.Fatalf("BootstrapAUC(%v, %v, %d, %v, %d) = [%v,%v], oracle [%v,%v]",
-				a, b, resamples, conf, seed, lo, hi, wlo, whi)
+		if !sameBits(auc, AUC(a, b)) || !sameBits(lo, wlo) || !sameBits(hi, whi) {
+			t.Fatalf("BootstrapAUC(%v, %v, %d, %v, %d) = %v in [%v,%v], want %v in [%v,%v]",
+				a, b, resamples, conf, seed, auc, lo, hi, AUC(a, b), wlo, whi)
+		}
+	}
+	// Without resamples, or against an empty sample, the point is still
+	// AUC's and the interval [0, 0].
+	for _, c := range []struct {
+		a, b      []float64
+		resamples int
+	}{{a, b, 0}, {a, nil, resamples}, {nil, b, resamples}} {
+		if auc, lo, hi := BootstrapAUC(c.a, c.b, c.resamples, 0.99, seed); !sameBits(auc, AUC(c.a, c.b)) || lo != 0 || hi != 0 {
+			t.Fatalf("BootstrapAUC(%v, %v, %d) = %v in [%v,%v], want %v in [0,0]", c.a, c.b, c.resamples, auc, lo, hi, AUC(c.a, c.b))
 		}
 	}
 	// One resample pins the interval to that replicate's AUC exactly.
-	got, _ := BootstrapAUC(a, b, 1, 0.99, seed)
+	_, got, _ := BootstrapAUC(a, b, 1, 0.99, seed)
 	want, _ := bootstrapCI2(a, b, aucBySort, 1, 0.99, seed)
 	if !sameBits(got, want) {
 		t.Fatalf("replicate AUC for seed %d = %v, oracle %v", seed, got, want)
@@ -363,7 +386,7 @@ func TestBootstrapAUCAllocs(t *testing.T) {
 }
 
 // FuzzBootstrapAUC checks AUC and BootstrapAUC against the sort-based
-// oracles on arbitrary finite inputs. data is read as little-endian float64
+// oracles, and BootstrapAUC's point against AUC, on arbitrary finite inputs. data is read as little-endian float64
 // words (non-finite words skipped); split picks how many go to a; coarse
 // keeps only sign and exponent, which makes ties (and ±0 mixes) common.
 func FuzzBootstrapAUC(f *testing.F) {

@@ -155,8 +155,8 @@ func (m *Machine) CheckInvariants() error { return m.eng.CheckInvariants() }
 func (m *Machine) Engine() *coherence.Engine { return m.eng }
 
 // Run drives the workload over a machine, returning the measured-phase
-// results. The machine comes from the engine pool unless opts.Metrics is
-// set (see sim.New) and goes back to it when Run returns.
+// results. The machine comes from the engine pool and goes back to it when
+// Run returns, setting opts.Metrics' dir/* occupancy gauges (see sim.New).
 func Run(opts RunOptions) (Result, error) {
 	r, err := sim.New(opts)
 	if err != nil {
